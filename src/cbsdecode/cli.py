@@ -98,22 +98,47 @@ def _load_spec(constraints: str | None, lemmas: str | None, vocab: Vocabulary):
     return fsm_mod.load_constraint_spec(constraints, vocab, lemmas=lemma_map)
 
 
+def _json_object(path: str, lineno: int, line: str) -> dict:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise DataError(f"{path}:{lineno}: invalid JSON: {e}") from e
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}:{lineno}: each line must be a JSON object")
+    return obj
+
+
+def _jsonl_objects(path: str):
+    """Yield (lineno, object) for every non-blank line of a JSONL file."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line:
+                yield lineno, _json_object(path, lineno, line)
+
+
+def _list_field(path: str, lineno: int, obj: dict, name: str, kinds: tuple[type, ...]) -> list:
+    """obj[name], which must be a list whose items are all instances of
+    `kinds` (booleans never count as numbers)."""
+    if name not in obj:
+        raise DataError(f"{path}:{lineno}: missing field {name!r}")
+    value = obj[name]
+    if not isinstance(value, list) or not all(
+        isinstance(x, kinds) and not isinstance(x, bool) for x in value
+    ):
+        expected = " or ".join(k.__name__ for k in kinds)
+        raise DataError(f"{path}:{lineno}: field {name!r} must be a list of {expected}")
+    return value
+
+
 def _read_inputs(path: str | None) -> list[dict]:
     if path is None:
         return [{"id": 0}]
     inputs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {e}") from e
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{lineno}: each input must be a JSON object")
-            inputs.append(obj)
+    for lineno, obj in _jsonl_objects(path):
+        if "features" in obj:
+            _list_field(path, lineno, obj, "features", (int, float))
+        inputs.append(obj)
     if not inputs:
         raise DataError(f"input file {path} is empty")
     return inputs
@@ -188,15 +213,6 @@ def _decode_one(task: tuple[int, dict]) -> tuple[int, str]:
     return index, json.dumps(line)
 
 
-def _search_params(beam, max_len, no_repeat, length_normalize) -> SearchParams:
-    return SearchParams(
-        beam_size=beam,
-        max_len=max_len,
-        no_repeat=no_repeat,
-        length_normalize=length_normalize,
-    )
-
-
 _SCORER_CHOICE = click.Choice(["ngram", "neural", "uniform"])
 
 
@@ -223,7 +239,6 @@ def compile_constraints(constraints, model, lemmas, out):
 @click.option("--beam", default=5, show_default=True)
 @click.option("--max-len", default=20, show_default=True)
 @click.option("--no-repeat/--allow-repeat", default=True, show_default=True)
-@click.option("--length-normalize", is_flag=True)
 @click.option(
     "--phrase-mode",
     type=click.Choice(["all", "any"]),
@@ -245,7 +260,6 @@ def decode(
     beam,
     max_len,
     no_repeat,
-    length_normalize,
     phrase_mode,
     emit_per_state,
     workers,
@@ -257,7 +271,7 @@ def decode(
     del seed  # decoding has no stochastic choices
     scorer, vocab = _resolve_scorer(scorer_kind, model)
     spec = _load_spec(constraints, lemmas, vocab)
-    params = _search_params(beam, max_len, no_repeat, length_normalize)
+    params = SearchParams(beam_size=beam, max_len=max_len, no_repeat=no_repeat)
     items = _read_inputs(inputs)
     tasks = list(enumerate(items))
     if workers < 1:
@@ -295,7 +309,7 @@ def oracle(scorer_kind, model, inputs, constraints, lemmas, max_len, no_repeat, 
         machine = fsm_mod.trivial_fsm(len(vocab))
     else:
         machine = fsm_mod.compile_spec(spec, vocab)
-    params = _search_params(5, max_len, no_repeat, False)
+    params = SearchParams(max_len=max_len, no_repeat=no_repeat)
     lines = []
     for index, item in enumerate(_read_inputs(inputs)):
         conditioning = None
@@ -325,19 +339,15 @@ def _read_conditioning(path: str | None, count: int, cond_dim: int) -> list[np.n
     if path is None:
         return [None] * count
     rows: list[np.ndarray | None] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            vec = np.asarray(obj["features"], dtype=np.float64)
-            if vec.shape != (cond_dim,):
-                raise DataError(
-                    f"{path}:{lineno}: conditioning vector has {vec.shape[0]} "
-                    f"values, expected {cond_dim}"
-                )
-            rows.append(vec)
+    for lineno, obj in _jsonl_objects(path):
+        features = _list_field(path, lineno, obj, "features", (int, float))
+        vec = np.asarray(features, dtype=np.float64)
+        if vec.shape != (cond_dim,):
+            raise DataError(
+                f"{path}:{lineno}: conditioning vector has {vec.shape[0]} "
+                f"values, expected {cond_dim}"
+            )
+        rows.append(vec)
     if len(rows) != count:
         raise DataError(
             f"{path} has {len(rows)} conditioning vectors for {count} corpus sentences"
@@ -402,32 +412,24 @@ def _read_generated(path: str) -> list[tuple[str, ...]]:
     """Decode JSONL (uses the `text` field) or plain text, one caption per line."""
     captions = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.lstrip().startswith("{"):
-                obj = json.loads(line)
-                if "text" not in obj:
-                    raise DataError("decode JSONL line lacks a 'text' field")
-                captions.append(tuple(tokenize(obj["text"])))
-            else:
-                captions.append(tuple(tokenize(line)))
-    return captions
-
-
-def _read_references(path: str) -> list[tuple[tuple[str, ...], ...]]:
-    refs = []
-    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            if not isinstance(obj, dict) or "references" not in obj:
-                raise DataError(f"{path}:{lineno}: expected {{\"references\": [...]}}")
-            refs.append(tuple(tuple(tokenize(r)) for r in obj["references"]))
-    return refs
+            if line.startswith("{"):
+                obj = _json_object(path, lineno, line)
+                if not isinstance(obj.get("text"), str):
+                    raise DataError(f"{path}:{lineno}: field 'text' must be a string")
+                line = obj["text"]
+            captions.append(tuple(tokenize(line)))
+    return captions
+
+
+def _read_references(path: str) -> list[tuple[tuple[str, ...], ...]]:
+    return [
+        tuple(tuple(tokenize(r)) for r in _list_field(path, lineno, obj, "references", (str,)))
+        for lineno, obj in _jsonl_objects(path)
+    ]
 
 
 @cli.command("eval-f1")

@@ -432,16 +432,6 @@ def intersect_all(machines: Sequence[Fsm], max_states: int = MAX_PRODUCT_STATES)
     return out
 
 
-# convenience module-level forms mirroring the Fsm methods
-
-def step(f: Fsm, s: int, w: int) -> int:
-    return f.step(s, w)
-
-
-def recognizes(f: Fsm, seq: Iterable[int]) -> bool:
-    return f.recognizes(seq)
-
-
 @dataclass
 class ConstraintSpec:
     """Parsed constraint specification: disjunction groups plus phrases."""

@@ -27,7 +27,7 @@ from .vocab import Vocabulary
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_FORMAT = "cbsdecode-caption-lm"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 GATES = ("i", "f", "o", "c")
 
@@ -49,39 +49,26 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LstmLayerParams:
-    """Weights of one LSTM layer: four input matrices (N x K), four recurrent
-    matrices (N x N), and four bias vectors (N)."""
+    """Weights of one LSTM layer with N units over K inputs, as one gate
+    block: `w` is (4N x (K+N)) with row blocks in GATES order (i, f, o, c)
+    and columns [input | recurrent]; `b` (4N) holds the matching biases."""
 
-    w_xi: np.ndarray
-    w_xf: np.ndarray
-    w_xo: np.ndarray
-    w_xc: np.ndarray
-    w_hi: np.ndarray
-    w_hf: np.ndarray
-    w_ho: np.ndarray
-    w_hc: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_c: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        n, k = self.w_xi.shape
-        for gate in GATES:
-            if getattr(self, f"w_x{gate}").shape != (n, k):
-                raise DataError(f"w_x{gate} shape mismatch")
-            if getattr(self, f"w_h{gate}").shape != (n, n):
-                raise DataError(f"w_h{gate} shape mismatch")
-            if getattr(self, f"b_{gate}").shape != (n,):
-                raise DataError(f"b_{gate} shape mismatch")
+        if self.w.ndim != 2 or self.w.shape[0] % 4 or self.w.shape[1] < self.w.shape[0] // 4:
+            raise DataError(f"lstm weight block shape {self.w.shape} is not (4N, K+N)")
+        if self.b.shape != (self.w.shape[0],):
+            raise DataError(f"lstm bias shape {self.b.shape} does not match {self.w.shape}")
 
     @property
     def hidden_size(self) -> int:
-        return self.w_xi.shape[0]
+        return self.w.shape[0] // 4
 
     @property
     def input_size(self) -> int:
-        return self.w_xi.shape[1]
+        return self.w.shape[1] - self.hidden_size
 
     @classmethod
     def build(
@@ -92,26 +79,18 @@ class LstmLayerParams:
         init_scale: float = 0.08,
         forget_bias: float = 1.0,
     ) -> "LstmLayerParams":
-        def weight(shape):
-            if rng is None or init_scale == 0.0:
-                return np.zeros(shape)
-            return rng.uniform(-init_scale, init_scale, size=shape)
-
-        fields = {}
-        for gate in GATES:
-            fields[f"w_x{gate}"] = weight((hidden_size, input_size))
-            fields[f"w_h{gate}"] = weight((hidden_size, hidden_size))
-            fields[f"b_{gate}"] = np.zeros(hidden_size)
-        fields["b_f"] = np.full(hidden_size, float(forget_bias))
-        return cls(**fields)
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in _LAYER_FIELDS}
-
-
-_LAYER_FIELDS = tuple(
-    f"{kind}{gate}" for kind in ("w_x", "w_h", "b_") for gate in GATES
-)
+        n, k = hidden_size, input_size
+        w = np.zeros((4 * n, k + n))
+        if rng is not None and init_scale != 0.0:
+            # draw order is part of the seeding contract: for each gate, the
+            # input block and then the recurrent block
+            for r in range(len(GATES)):
+                rows = slice(r * n, (r + 1) * n)
+                w[rows, :k] = rng.uniform(-init_scale, init_scale, size=(n, k))
+                w[rows, k:] = rng.uniform(-init_scale, init_scale, size=(n, n))
+        b = np.zeros(4 * n)
+        b[n : 2 * n] = forget_bias
+        return cls(w, b)
 
 
 def lstm_step(
@@ -131,37 +110,35 @@ def _lstm_forward(p, x, h_prev, c_prev):
         )
     if not (np.isfinite(x).all() and np.isfinite(h_prev).all() and np.isfinite(c_prev).all()):
         raise NumericError("non-finite lstm input")
-    i = _sigmoid(p.w_xi @ x + p.w_hi @ h_prev + p.b_i)
-    f = _sigmoid(p.w_xf @ x + p.w_hf @ h_prev + p.b_f)
-    o = _sigmoid(p.w_xo @ x + p.w_ho @ h_prev + p.b_o)
-    g = np.tanh(p.w_xc @ x + p.w_hc @ h_prev + p.b_c)
+    n = p.hidden_size
+    xh = np.concatenate([x, h_prev])
+    z = p.w @ xh + p.b
+    ifo = _sigmoid(z[: 3 * n])
+    i, f, o = ifo[:n], ifo[n : 2 * n], ifo[2 * n :]
+    g = np.tanh(z[3 * n :])
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
-    return h, c, (x, h_prev, c_prev, i, f, o, g, tc)
+    return h, c, (xh, c_prev, ifo, g, tc)
 
 
 def _lstm_backward(p, cache, dh, dc, grads: dict[str, np.ndarray], prefix: str):
     """Accumulate parameter gradients for one cached step; returns
     (dx, dh_prev, dc_prev)."""
-    x, h_prev, c_prev, i, f, o, g, tc = cache
-    do = dh * tc
+    xh, c_prev, ifo, g, tc = cache
+    n = p.hidden_size
+    i, f, o = ifo[:n], ifo[n : 2 * n], ifo[2 * n :]
     dc_total = dc + dh * o * (1.0 - tc * tc)
-    d_pre = {
-        "i": dc_total * g * i * (1.0 - i),
-        "f": dc_total * c_prev * f * (1.0 - f),
-        "o": do * o * (1.0 - o),
-        "c": dc_total * i * (1.0 - g * g),
-    }
-    dx = np.zeros_like(x)
-    dh_prev = np.zeros_like(h_prev)
-    for gate, d in d_pre.items():
-        grads[f"{prefix}.w_x{gate}"] += np.outer(d, x)
-        grads[f"{prefix}.w_h{gate}"] += np.outer(d, h_prev)
-        grads[f"{prefix}.b_{gate}"] += d
-        dx += getattr(p, f"w_x{gate}").T @ d
-        dh_prev += getattr(p, f"w_h{gate}").T @ d
-    return dx, dh_prev, dc_total * f
+    dz = np.empty(4 * n)
+    dz[:n] = dc_total * g
+    dz[n : 2 * n] = dc_total * c_prev
+    dz[2 * n : 3 * n] = dh * tc
+    dz[: 3 * n] *= ifo * (1.0 - ifo)
+    dz[3 * n :] = dc_total * i * (1.0 - g * g)
+    grads[f"{prefix}.w"] += np.outer(dz, xh)
+    grads[f"{prefix}.b"] += dz
+    dxh = p.w.T @ dz
+    return dxh[: p.input_size], dxh[p.input_size :], dc_total * f
 
 
 class _NeuralState(DecodeState):
@@ -275,13 +252,14 @@ class CaptionModel(Scorer):
     def trainable(self) -> dict[str, np.ndarray]:
         """Live references to every trainable array. w_e is deliberately
         absent: the embeddings are fixed."""
-        out = {}
-        for prefix, layer in (("layer1", self.layer1), ("layer2", self.layer2)):
-            for name, arr in layer.arrays().items():
-                out[f"{prefix}.{name}"] = arr
-        out["w_v"] = self.w_v
-        out["b_v"] = self.b_v
-        return out
+        return {
+            "layer1.w": self.layer1.w,
+            "layer1.b": self.layer1.b,
+            "layer2.w": self.layer2.w,
+            "layer2.b": self.layer2.b,
+            "w_v": self.w_v,
+            "b_v": self.b_v,
+        }
 
     # forward pass
 
@@ -313,7 +291,7 @@ class CaptionModel(Scorer):
         logp = log_softmax(self._output_logits(v))
         if not np.isfinite(logp).all():
             raise NumericError("model emitted a non-finite log distribution")
-        cache = (cache1, cache2, v) if want_cache else None
+        cache = (cache1, cache2, h2n, v) if want_cache else None
         return h1n, c1n, h2n, c2n, logp, cache
 
     def _check_conditioning(self, conditioning) -> np.ndarray:
@@ -373,7 +351,7 @@ class CaptionModel(Scorer):
         dh1n = dc1n = dh2n = dc2n = np.zeros(n)
         loss = 0.0
         for t in reversed(range(T)):
-            cache1, cache2, v = caches[t]
+            cache1, cache2, h2, v = caches[t]
             y = seq[t]
             loss -= float(logps[t][y])
             dlogits = np.exp(logps[t])
@@ -381,19 +359,13 @@ class CaptionModel(Scorer):
             dlogits /= T
             dv = self.w_e @ dlogits
             da = dv * (1.0 - v * v)
-            grads["w_v"] += np.outer(da, self._h2_from_cache(cache2))
+            grads["w_v"] += np.outer(da, h2)
             grads["b_v"] += da
             dh2 = self.w_v.T @ da + dh2n
             dx2, dh2n, dc2n = _lstm_backward(self.layer2, cache2, dh2, dc2n, grads, "layer2")
             dh1 = dx2[:n] + dh1n
             _, dh1n, dc1n = _lstm_backward(self.layer1, cache1, dh1, dc1n, grads, "layer1")
         return loss / T
-
-    @staticmethod
-    def _h2_from_cache(cache2):
-        # h2 = o * tanh(c); both live in the cache
-        _, _, _, _, _, o, _, tc = cache2
-        return o * tc
 
     def gradients(self, batch: Sequence[tuple[Sequence[int], np.ndarray | None]]):
         """Analytic BPTT gradients of the mean sequence loss over the batch,
@@ -438,16 +410,6 @@ class CaptionModel(Scorer):
             b_v=self.b_v,
             start_embedding=self.start_embedding,
         )
-
-
-def sequence_loss(m: CaptionModel, seq: Sequence[int], conditioning=None) -> float:
-    """Module-level alias for :meth:`CaptionModel.sequence_loss`."""
-    return m.sequence_loss(seq, conditioning)
-
-
-def gradients(m: CaptionModel, batch) -> dict[str, np.ndarray]:
-    """Module-level alias returning only the gradient set."""
-    return m.gradients(batch)[0]
 
 
 @dataclass
@@ -541,24 +503,35 @@ def load_checkpoint(path) -> CaptionModel:
     with data:
         if "__meta__" not in data:
             raise DataError(f"{path} is not a caption model checkpoint")
-        meta = json.loads(str(data["__meta__"][()]))
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise DataError(f"{path} is not a caption model checkpoint")
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise DataError(f"unsupported checkpoint version {meta.get('version')}")
-        vocab = Vocabulary(meta["vocab"], eos_token=meta["eos"])
+        try:
+            return _model_from_arrays(path, data)
+        except (KeyError, ValueError) as e:
+            raise DataError(f"malformed checkpoint {path}: {e!r}") from e
 
-        def layer(prefix: str) -> LstmLayerParams:
+
+def _model_from_arrays(path, data) -> CaptionModel:
+    meta = json.loads(str(data["__meta__"][()]))
+    if meta.get("format") != CHECKPOINT_FORMAT:
+        raise DataError(f"{path} is not a caption model checkpoint")
+    version = meta.get("version")
+    if version not in (1, CHECKPOINT_VERSION):
+        raise DataError(f"unsupported checkpoint version {version}")
+
+    def layer(prefix: str) -> LstmLayerParams:
+        if version == 1:
+            # v1 kept each gate apart: w_x<gate> (N x K), w_h<gate> (N x N), b_<gate>
             return LstmLayerParams(
-                **{name: data[f"{prefix}.{name}"] for name in _LAYER_FIELDS}
+                np.block([[data[f"{prefix}.w_x{g}"], data[f"{prefix}.w_h{g}"]] for g in GATES]),
+                np.concatenate([data[f"{prefix}.b_{g}"] for g in GATES]),
             )
+        return LstmLayerParams(data[f"{prefix}.w"], data[f"{prefix}.b"])
 
-        return CaptionModel(
-            vocab=vocab,
-            w_e=data["w_e"],
-            layer1=layer("layer1"),
-            layer2=layer("layer2"),
-            w_v=data["w_v"],
-            b_v=data["b_v"],
-            start_embedding=data["start_embedding"],
-        )
+    return CaptionModel(
+        vocab=Vocabulary(meta["vocab"], eos_token=meta["eos"]),
+        w_e=data["w_e"],
+        layer1=layer("layer1"),
+        layer2=layer("layer2"),
+        w_v=data["w_v"],
+        b_v=data["b_v"],
+        start_embedding=data["start_embedding"],
+    )

@@ -72,11 +72,6 @@ class Scorer(ABC):
         return nxt, nxt.log_probs
 
 
-def score_step(scorer: Scorer, state: DecodeState, token: int) -> tuple[DecodeState, np.ndarray]:
-    """Module-level alias for :meth:`Scorer.step`."""
-    return scorer.step(state, token)
-
-
 def sequence_logprob(
     scorer: Scorer, tokens: Sequence[int], conditioning: np.ndarray | None = None
 ) -> float:
@@ -282,11 +277,6 @@ def ngram_train(
     if n == 0:
         raise DataError("empty training corpus")
     return model
-
-
-def ngram_logprob(m: NGramModel, context: Sequence[int], w: int) -> float:
-    """Module-level alias for :meth:`NGramModel.logprob`."""
-    return m.logprob(context, w)
 
 
 def load_corpus(path, vocab: Vocabulary | None = None) -> tuple[list[list[int]], Vocabulary]:

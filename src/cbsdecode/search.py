@@ -33,7 +33,6 @@ class SearchParams:
     beam_size: int = 5
     max_len: int = 20
     no_repeat: bool = True
-    length_normalize: bool = False
 
     def __post_init__(self):
         if self.beam_size < 1:
@@ -136,13 +135,6 @@ class DecodeResult:
                 str(s): hyp_dict(h) for s, h in sorted(self.per_state_best.items())
             }
         return out
-
-
-def _final_key(h: Hypothesis, params: SearchParams):
-    """Selection order among completed hypotheses. Length normalization, when
-    enabled, applies only here, never inside the beam updates."""
-    score = h.logprob / max(1, len(h.tokens)) if params.length_normalize else h.logprob
-    return (-score, len(h.tokens), h.tokens)
 
 
 def _top_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -296,26 +288,24 @@ def _run_search(
     return beams, steps
 
 
-def _assemble_result(beams: BeamSet, fsm: Fsm, params: SearchParams) -> DecodeResult:
+def _assemble_result(beams: BeamSet, fsm: Fsm) -> DecodeResult:
     per_state_best: dict[int, Hypothesis] = {}
     for s, beam in enumerate(beams.beams):
         completed = [h for h in beam if h.completed]
         if completed:
-            per_state_best[s] = min(completed, key=lambda h: _final_key(h, params))
-    return _result_from_per_state(per_state_best, fsm, params)
+            per_state_best[s] = min(completed, key=Hypothesis.sort_key)
+    return _result_from_per_state(per_state_best, fsm)
 
 
-def _result_from_per_state(
-    per_state_best: dict[int, Hypothesis], fsm: Fsm, params: SearchParams
-) -> DecodeResult:
+def _result_from_per_state(per_state_best: dict[int, Hypothesis], fsm: Fsm) -> DecodeResult:
     accepted = {s: h for s, h in per_state_best.items() if s in fsm.accepting}
     if accepted:
-        best = min(accepted.values(), key=lambda h: _final_key(h, params))
+        best = min(accepted.values(), key=Hypothesis.sort_key)
         return DecodeResult(best, per_state_best, fsm.progress[best.fsm_state], ACCEPTED)
     if per_state_best:
         best = min(
             per_state_best.values(),
-            key=lambda h: (-fsm.progress[h.fsm_state],) + _final_key(h, params),
+            key=lambda h: (-fsm.progress[h.fsm_state],) + h.sort_key(),
         )
         return DecodeResult(best, per_state_best, fsm.progress[best.fsm_state], FALLBACK)
     return DecodeResult(None, {}, None, EMPTY)
@@ -340,7 +330,7 @@ def constrained_beam_search(
     lexicographic token ids).
     """
     beams, _ = _run_search(scorer, fsm, params, conditioning)
-    return _assemble_result(beams, fsm, params)
+    return _assemble_result(beams, fsm)
 
 
 def beam_search(
@@ -384,7 +374,7 @@ def decode_multi_phrase(
     for status in (ACCEPTED, FALLBACK):
         pool = [r for r in results if r.status == status]
         if pool:
-            return min(pool, key=lambda r: _final_key(r.best, params))
+            return min(pool, key=lambda r: r.best.sort_key())
     return results[0]
 
 
@@ -434,7 +424,7 @@ def exhaustive_decode(
     def consider(tokens: tuple[int, ...], logprob: float, state: int) -> None:
         h = Hypothesis(tokens, logprob, state, completed=True)
         cur = best_per_state.get(state)
-        if cur is None or _final_key(h, params) < _final_key(cur, params):
+        if cur is None or h.sort_key() < cur.sort_key():
             best_per_state[state] = h
 
     def visit(decode_state, fsm_state: int, tokens: tuple[int, ...], logprob: float):
@@ -455,4 +445,4 @@ def exhaustive_decode(
                 visit(child, nxt, tokens + (w,), lp)
 
     visit(scorer.initial_state(conditioning), fsm.start, (), 0.0)
-    return _result_from_per_state(best_per_state, fsm, params)
+    return _result_from_per_state(best_per_state, fsm)

@@ -327,3 +327,63 @@ class TestMultiPhraseFlag:
         assert obj["status"] == "accepted"
         text = obj["text"]
         assert "the street" in text or "a chair" in text
+
+
+# (command, file kind, defect, bad line); the defect sits on line 2
+MALFORMED_JSONL = [
+    ("decode", "inputs", "features not a list", '{"id": 1, "features": "abc"}'),
+    ("train-lm", "conditioning", "invalid JSON", '{"features": [0.1, '),
+    ("train-lm", "conditioning", "not an object", "[0.1, 0.2]"),
+    ("train-lm", "conditioning", "missing features", '{"id": 3}'),
+    ("train-lm", "conditioning", "features not numbers", '{"features": ["a", "b"]}'),
+    ("eval-f1", "references", "invalid JSON", '{"references": ["a chair"'),
+    ("eval-f1", "references", "not an object", '"a chair"'),
+    ("eval-f1", "references", "missing references", '{"refs": ["a chair"]}'),
+    ("eval-f1", "references", "references not strings", '{"references": [1, 2]}'),
+    ("eval-f1", "generated", "invalid JSON", '{"text": "a chair'),
+    ("eval-f1", "generated", "missing text", '{"tokens": [1, 2]}'),
+    ("eval-f1", "generated", "text not a string", '{"text": ["a", "chair"]}'),
+]
+
+
+@pytest.mark.parametrize(
+    "command,kind,defect,bad_line",
+    MALFORMED_JSONL,
+    ids=[f"{c}-{k}-{d}" for c, k, d, _ in MALFORMED_JSONL],
+)
+def test_malformed_jsonl_is_data_error_naming_the_line(
+    workdir, tmp_path, capsys, command, kind, defect, bad_line
+):
+    good = {
+        "inputs": '{"id": 0, "features": [0.5, 0.5]}',
+        "conditioning": '{"features": [0.5, 0.5]}',
+        "references": '{"references": ["a chair"]}',
+        "generated": '{"text": "a chair"}',
+    }
+    files = {}
+    for name, line in good.items():
+        files[name] = tmp_path / f"{name}.jsonl"
+        files[name].write_text(line + "\n" + line + "\n")
+    bad = files[kind]
+    bad.write_text(good[kind] + "\n" + bad_line + "\n")
+    if command == "decode":
+        argv = ["decode", "--model", str(workdir / "model.json"), "--inputs", str(bad)]
+    elif command == "train-lm":
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a chair\na table\n")
+        emb = tmp_path / "emb.txt"
+        emb.write_text("".join(f"{w} 0.1 -0.2 0.3\n" for w in ("a", "chair", "table", "<eos>")))
+        argv = ["train-lm", str(corpus), "--embeddings", str(emb), "--conditioning", str(bad),
+                "--hidden", "2", "--cond-dim", "2", "--epochs", "1",
+                "--out", str(tmp_path / "lm.npz")]
+    else:
+        mentions = tmp_path / "m.json"
+        mentions.write_text(json.dumps({"object": "chair", "mentions": ["chair"]}))
+        argv = ["eval-f1", "--generated", str(files["generated"]),
+                "--references", str(files["references"]), "--mentions", str(mentions)]
+    assert main(argv) == 66
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])["error"]
+    assert payload["category"] == "data"
+    assert f"{bad}:2:" in payload["message"]

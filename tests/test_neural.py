@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from cbsdecode import (
     SearchParams,
 )
 from cbsdecode.neural import (
+    CHECKPOINT_FORMAT,
+    GATES,
     CaptionModel,
     LstmLayerParams,
     load_checkpoint,
@@ -25,19 +28,23 @@ from test_scorers import scorer_contract_checks
 def reference_lstm(p, x, h_prev, c_prev):
     """Straight-from-the-gate-equations evaluator, coded independently with
     scalar loops; the oracle for lstm_step."""
-    n = p.hidden_size
+    n, k = p.hidden_size, p.input_size
+    # gate row blocks i, f, o, c; input columns first, then recurrent
+    w_xi, w_xf, w_xo, w_xc = (p.w[r * n:(r + 1) * n, :k] for r in range(4))
+    w_hi, w_hf, w_ho, w_hc = (p.w[r * n:(r + 1) * n, k:] for r in range(4))
+    b_i, b_f, b_o, b_c = (p.b[r * n:(r + 1) * n] for r in range(4))
     h = np.zeros(n)
     c = np.zeros(n)
     for j in range(n):
-        zi = p.b_i[j] + sum(p.w_xi[j, t] * x[t] for t in range(len(x)))
-        zf = p.b_f[j] + sum(p.w_xf[j, t] * x[t] for t in range(len(x)))
-        zo = p.b_o[j] + sum(p.w_xo[j, t] * x[t] for t in range(len(x)))
-        zg = p.b_c[j] + sum(p.w_xc[j, t] * x[t] for t in range(len(x)))
+        zi = b_i[j] + sum(w_xi[j, t] * x[t] for t in range(len(x)))
+        zf = b_f[j] + sum(w_xf[j, t] * x[t] for t in range(len(x)))
+        zo = b_o[j] + sum(w_xo[j, t] * x[t] for t in range(len(x)))
+        zg = b_c[j] + sum(w_xc[j, t] * x[t] for t in range(len(x)))
         for t in range(n):
-            zi += p.w_hi[j, t] * h_prev[t]
-            zf += p.w_hf[j, t] * h_prev[t]
-            zo += p.w_ho[j, t] * h_prev[t]
-            zg += p.w_hc[j, t] * h_prev[t]
+            zi += w_hi[j, t] * h_prev[t]
+            zf += w_hf[j, t] * h_prev[t]
+            zo += w_ho[j, t] * h_prev[t]
+            zg += w_hc[j, t] * h_prev[t]
         i = 1.0 / (1.0 + math.exp(-zi))
         f = 1.0 / (1.0 + math.exp(-zf))
         o = 1.0 / (1.0 + math.exp(-zo))
@@ -119,6 +126,25 @@ class TestLstmStep:
         p = LstmLayerParams.build(2, 2)
         with pytest.raises(NumericError):
             lstm_step(p, np.array([np.nan, 0.0]), np.zeros(2), np.zeros(2))
+
+
+class TestBuild:
+    def test_seeded_draws_fill_gate_blocks_in_documented_order(self):
+        v = make_vocab(5)
+        d, n, cond, scale = 6, 3, 2, 0.3
+        w_e = np.random.default_rng(1).normal(size=(d, len(v)))
+        m = CaptionModel.build(v, w_e, n, cond, rng=np.random.default_rng(7),
+                               init_scale=scale, forget_bias=0.5)
+        ref = np.random.default_rng(7)
+        for layer, k in ((m.layer1, d), (m.layer2, n + cond)):
+            assert layer.w.shape == (4 * n, k + n)
+            for r in range(len(GATES)):
+                rows = slice(r * n, (r + 1) * n)
+                np.testing.assert_array_equal(layer.w[rows, :k], ref.uniform(-scale, scale, (n, k)))
+                np.testing.assert_array_equal(layer.w[rows, k:], ref.uniform(-scale, scale, (n, n)))
+            np.testing.assert_array_equal(layer.b, np.repeat([0.0, 0.5, 0.0, 0.0], n))
+        np.testing.assert_array_equal(m.w_v, ref.uniform(-scale, scale, (d, n)))
+        np.testing.assert_array_equal(m.b_v, 0.0)
 
 
 class TestForwardStep:
@@ -305,6 +331,49 @@ class TestCheckpoint:
         cond = np.array([0.1, -0.4])
         s1, s2 = m.initial_state(cond), m2.initial_state(cond)
         np.testing.assert_array_equal(s1.log_probs, s2.log_probs)
+
+    def test_v1_per_gate_checkpoint_loads_bit_identically(self, rng, tmp_path):
+        v, m = tiny_model(rng)
+        n = m.hidden_size
+        meta = {"format": CHECKPOINT_FORMAT, "version": 1, "vocab": list(v.tokens),
+                "eos": v.tokens[v.eos], "embed_dim": m.embed_dim, "hidden_size": n,
+                "cond_dim": m.cond_dim, "frozen_embeddings": True, "seed": None}
+        arrays = {"w_e": m.w_e, "start_embedding": m.start_embedding,
+                  "w_v": m.w_v, "b_v": m.b_v}
+        for prefix, layer in (("layer1", m.layer1), ("layer2", m.layer2)):
+            k = layer.input_size
+            for r, gate in enumerate(GATES):
+                rows = slice(r * n, (r + 1) * n)
+                arrays[f"{prefix}.w_x{gate}"] = layer.w[rows, :k]
+                arrays[f"{prefix}.w_h{gate}"] = layer.w[rows, k:]
+                arrays[f"{prefix}.b_{gate}"] = layer.b[rows]
+        path = tmp_path / "v1.npz"
+        np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+        m2 = load_checkpoint(path)
+        cond = np.array([0.3, -0.7])
+        assert m2.initial_state(cond).log_probs.tobytes() == m.initial_state(cond).log_probs.tobytes()
+
+    @pytest.mark.parametrize(
+        "defect", ["version 0", "version 3", "no array layer2.w", "no meta vocab"]
+    )
+    def test_unknown_version_or_missing_entry_is_data_error(self, rng, tmp_path, defect):
+        v, m = tiny_model(rng)
+        path = tmp_path / "model.npz"
+        save_checkpoint(m, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        meta = json.loads(str(arrays["__meta__"][()]))
+        kind, key = defect.rsplit(" ", 1)
+        if kind == "version":
+            meta["version"] = int(key)
+        elif kind == "no array":
+            del arrays[key]
+        else:
+            del meta[key]
+        arrays["__meta__"] = np.array(json.dumps(meta))
+        np.savez(path, **arrays)
+        with pytest.raises(DataError):
+            load_checkpoint(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.npz"

@@ -13,9 +13,7 @@ from cbsdecode import (
     UniformScorer,
     Vocabulary,
     load_corpus,
-    ngram_logprob,
     ngram_train,
-    score_step,
     sequence_logprob,
 )
 from conftest import make_vocab, random_ngram
@@ -104,11 +102,6 @@ class TestNGramLogprob:
         # context token 3 was never seen, every count is zero
         assert m.logprob([3], 2) == pytest.approx(math.log(1 / 5), abs=1e-12)
 
-    def test_alias_matches_method(self):
-        v = make_vocab(4)
-        m = ngram_train([[0, 1, v.eos]], order=2, alpha=0.5, vocab=v)
-        assert ngram_logprob(m, [0], 1) == m.logprob([0], 1)
-
     def test_uses_only_last_context_tokens(self, rng):
         v = make_vocab(5)
         m = random_ngram(rng, v, order=2)
@@ -145,13 +138,6 @@ class TestScoreStep:
     def test_contract(self, rng):
         v = make_vocab(6)
         scorer_contract_checks(random_ngram(rng, v, order=3), tol=1e-12)
-
-    def test_module_level_alias(self, rng):
-        v = make_vocab(4)
-        m = random_ngram(rng, v)
-        state = m.initial_state()
-        nxt, dist = score_step(m, state, 1)
-        np.testing.assert_array_equal(dist, nxt.log_probs)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
