@@ -249,7 +249,6 @@ def compile_constraints(constraints, model, lemmas, out):
 )
 @click.option("--emit-per-state", is_flag=True, help="include per-beam best hypotheses")
 @click.option("--workers", default=1, show_default=True)
-@click.option("--seed", default=0, show_default=True, help="recorded for reproducibility; decoding itself is deterministic")
 @click.option("--out", type=click.Path(dir_okay=False))
 def decode(
     scorer_kind,
@@ -263,12 +262,10 @@ def decode(
     phrase_mode,
     emit_per_state,
     workers,
-    seed,
     out,
 ):
     """Decode each input under the constraint spec; write JSONL results in
     input order."""
-    del seed  # decoding has no stochastic choices
     scorer, vocab = _resolve_scorer(scorer_kind, model)
     spec = _load_spec(constraints, lemmas, vocab)
     params = SearchParams(beam_size=beam, max_len=max_len, no_repeat=no_repeat)

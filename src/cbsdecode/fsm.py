@@ -12,6 +12,7 @@ successor plus an exception map for the tokens that matter to the constraint.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -19,6 +20,8 @@ import numpy as np
 
 from .errors import CapacityError, ConstraintError, ContractError, DataError
 from .vocab import Vocabulary
+
+logger = logging.getLogger(__name__)
 
 MAX_DISJUNCTIONS = 16
 MAX_PRODUCT_STATES = 4096
@@ -53,20 +56,30 @@ class DisjunctiveConstraints:
         lemmas: "LemmaMap | None" = None,
     ) -> "DisjunctiveConstraints":
         """Resolve surface-string groups to token ids, expanding each word
-        through the lemma map when one is given."""
-        sets = []
+        through the lemma map when one is given. Words that resolve to no id
+        are dropped with a warning; a group with no id left is an error, and
+        then nothing is logged."""
+        sets, dropped = [], []
         for group in groups:
             ids: set[int] = set()
+            unknown = []
             for word in group:
                 if lemmas is not None:
-                    ids |= expand_lemmas(word, lemmas, vocab)
-                elif word in vocab:
-                    ids.add(vocab.id(word))
+                    found = expand_lemmas(word, lemmas, vocab)
+                else:
+                    found = {vocab.id(word)} if word in vocab else set()
+                if not found:
+                    unknown.append(word)
+                ids |= found
             if not ids:
                 raise ConstraintError(
                     f"unsatisfiable disjunction: none of {sorted(group)} is in the vocabulary"
                 )
+            if unknown:
+                dropped.append((sorted(group), unknown))
             sets.append(ids)
+        for group, unknown in dropped:
+            logger.warning("disjunction %s: dropping %s, not in the vocabulary", group, unknown)
         return cls.from_sets(sets)
 
     def __len__(self) -> int:
@@ -259,16 +272,6 @@ class Fsm:
         except (KeyError, TypeError, IndexError) as e:
             raise DataError(f"malformed FSM dump: {e}") from e
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.dump(), fh)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "Fsm":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dump(json.load(fh))
-
     def __repr__(self) -> str:
         return (
             f"Fsm(states={self.num_states}, start={self.start}, "
@@ -460,11 +463,13 @@ def parse_constraint_spec(
     phrases = data.get("phrases", [])
     if not isinstance(groups, list) or not isinstance(phrases, list):
         raise DataError("constraint spec fields must be lists")
-    normalized = [[str(w).lower() for w in g] for g in groups]
-    disj = DisjunctiveConstraints.from_words(normalized, vocab, lemmas=lemmas)
+    # phrases first: an unknown phrase word fails before dropped disjunction
+    # words are logged, so a failing spec logs nothing
     phrase_constraints = [
         PhraseConstraint.from_words([str(w).lower() for w in p], vocab) for p in phrases
     ]
+    normalized = [[str(w).lower() for w in g] for g in groups]
+    disj = DisjunctiveConstraints.from_words(normalized, vocab, lemmas=lemmas)
     return ConstraintSpec(disjunctions=disj, phrases=phrase_constraints)
 
 

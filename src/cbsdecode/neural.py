@@ -433,7 +433,6 @@ def train(
     lr: float | Callable[[int], float],
     epochs: int,
     batch_size: int = 1,
-    shuffle: bool = True,
     seed: int = 0,
     log_every: int | None = None,
 ) -> TrainReport:
@@ -456,7 +455,7 @@ def train(
     losses = [mean_loss()]
     for epoch in range(epochs):
         step_lr = float(rate(epoch))
-        order = rng.permutation(len(corpus)) if shuffle else np.arange(len(corpus))
+        order = rng.permutation(len(corpus))
         for lo in range(0, len(order), batch_size):
             batch = [corpus[i] for i in order[lo : lo + batch_size]]
             grads, _ = m.gradients(batch)

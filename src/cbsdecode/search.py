@@ -58,43 +58,6 @@ class Hypothesis:
 
 
 @dataclass
-class BeamSet:
-    """One beam per FSM state; beams[s] holds at most b hypotheses, all with
-    fsm_state == s, sorted best-first."""
-
-    beams: list[list[Hypothesis]]
-
-    @classmethod
-    def initial(cls, fsm: Fsm, empty_hypothesis: Hypothesis) -> "BeamSet":
-        beams: list[list[Hypothesis]] = [[] for _ in range(fsm.num_states)]
-        beams[fsm.start].append(empty_hypothesis)
-        return cls(beams)
-
-    def live(self):
-        """Yield (state, hypothesis) for every non-completed hypothesis."""
-        for s, beam in enumerate(self.beams):
-            for h in beam:
-                if not h.completed:
-                    yield s, h
-
-    def best_completed(self, states=None) -> Hypothesis | None:
-        best = None
-        candidates = range(len(self.beams)) if states is None else states
-        for s in candidates:
-            for h in self.beams[s]:
-                if h.completed and (best is None or h.sort_key() < best.sort_key()):
-                    best = h
-        return best
-
-    def max_incomplete_logprob(self) -> float:
-        out = _NEG_INF
-        for _, h in self.live():
-            if h.logprob > out:
-                out = h.logprob
-        return out
-
-
-@dataclass
 class DecodeResult:
     """Outcome of one constrained decode.
 
@@ -137,27 +100,13 @@ class DecodeResult:
         return out
 
 
-def _top_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k best scores, ties resolved toward lower index.
-
-    Exact with respect to the (score desc, index asc) order, which matches the
-    hypothesis total order because group tokens are ascending and all
-    candidates in a group share one parent.
-    """
-    n = scores.shape[0]
-    if n <= k:
-        return np.arange(n)
-    part = np.argpartition(-scores, k - 1)[:k]
-    cutoff = scores[part].min()
-    better = np.nonzero(scores > cutoff)[0]
-    fill = k - better.shape[0]
-    if fill <= 0:
-        return better[:k]
-    ties = np.nonzero(scores == cutoff)[0][:fill]
-    return np.concatenate([better, ties])
+def _ranked(ids: np.ndarray, logdist: np.ndarray) -> list[int]:
+    """`ids` ordered by (score desc, token asc), the hypothesis total order
+    among extensions of one parent."""
+    return ids[np.lexsort((ids, -logdist[ids]))].tolist()
 
 
-def _ordered_prefix(cache: dict, logdist: np.ndarray, k: int) -> np.ndarray:
+def _ordered_prefix(cache: dict, logdist: np.ndarray, k: int) -> list[int]:
     """Token ids of the k best entries of `logdist`, exactly ordered by
     (score desc, token asc).
 
@@ -180,7 +129,7 @@ def _ordered_prefix(cache: dict, logdist: np.ndarray, k: int) -> np.ndarray:
         fill = k - better.shape[0]
         ties = np.nonzero(logdist == cutoff)[0][:fill]
         chosen = np.concatenate([better, ties])
-    order = chosen[np.lexsort((chosen, -logdist[chosen]))]
+    order = _ranked(chosen, logdist)
     cache[key] = (logdist, order)
     return order
 
@@ -190,8 +139,9 @@ def _run_search(
     fsm: Fsm,
     params: SearchParams,
     conditioning: np.ndarray | None = None,
-) -> tuple[BeamSet, int]:
-    """Multi-beam decode loop. Returns the final beams and steps taken."""
+) -> tuple[list[list[Hypothesis]], int]:
+    """Multi-beam decode loop. Returns the final beams (one per FSM state,
+    best-first) and the steps taken."""
     if scorer.vocab_size < 1:
         raise ContractError("scorer has an empty vocabulary")
     if scorer.vocab_size != fsm.vocab_size:
@@ -207,7 +157,8 @@ def _run_search(
         completed=False,
         scorer_state=scorer.initial_state(conditioning),
     )
-    beams = BeamSet.initial(fsm, root)
+    beams: list[list[Hypothesis]] = [[] for _ in range(fsm.num_states)]
+    beams[fsm.start].append(root)
 
     # top-(beam + exceptions + 1) of a row always covers the default group's
     # top-(beam) after filtering exception tokens and one no-repeat exclusion
@@ -216,81 +167,69 @@ def _run_search(
 
     steps = 0
     for _ in range(params.max_len):
-        # candidate records per destination: (neg_logprob, length, tokens, parent, token)
-        candidates: dict[int, list] = {}
-        any_live = False
-        for s, h in beams.live():
-            any_live = True
-            logdist = h.scorer_state.log_probs
-            last = h.tokens[-1] if h.tokens else None
-            new_len = len(h.tokens) + 1
-            row = fsm.rows[s]
-            # default-destination group: best tokens without an explicit
-            # transition, read off the row's cached global ordering
-            bucket = candidates.setdefault(fsm.defaults[s], [])
-            taken = 0
-            for w in _ordered_prefix(row_cache, logdist, prefix_len):
-                if taken >= b:
-                    break
-                w = int(w)
-                if w in row or (params.no_repeat and w == last):
-                    continue
-                sc = float(logdist[w])
-                if sc == _NEG_INF:
-                    break  # ordered prefix: everything after is -inf too
-                bucket.append((-(h.logprob + sc), new_len, h.tokens + (w,), h, w))
-                taken += 1
-            # explicit transitions, grouped by destination (small groups)
-            for dest, toks in fsm.exception_groups(s):
-                scores = logdist[toks]
-                if params.no_repeat and last is not None:
-                    pos = np.searchsorted(toks, last)
-                    if pos < toks.shape[0] and toks[pos] == last:
-                        scores[pos] = _NEG_INF
-                bucket = candidates.setdefault(dest, [])
-                for i in _top_indices(scores, b):
-                    sc = scores[i]
-                    if sc == _NEG_INF:
-                        continue
-                    w = int(toks[i])
-                    bucket.append((-(h.logprob + float(sc)), new_len, h.tokens + (w,), h, w))
-        if not any_live:
+        live = [(s, h) for s, beam in enumerate(beams) for h in beam if not h.completed]
+        if not live:
             break
         steps += 1
+        # candidate records per destination: (neg_logprob, length, tokens, parent, token)
+        candidates: dict[int, list] = {}
+        for s, h in live:
+            logdist = h.scorer_state.log_probs
+            repeat = h.tokens[-1] if params.no_repeat and h.tokens else None
+            new_len = len(h.tokens) + 1
+            # routes: (destination, ranked tokens, tokens to skip). The default
+            # route reads the row's cached ordering and skips the tokens with
+            # explicit transitions; each exception group ranks its own few.
+            routes = [(fsm.defaults[s], _ordered_prefix(row_cache, logdist, prefix_len), fsm.rows[s])]
+            routes += [(dest, _ranked(toks, logdist), ()) for dest, toks in fsm.exception_groups(s)]
+            for dest, ranked, skip in routes:
+                bucket = candidates.setdefault(dest, [])
+                taken = 0
+                for w in ranked:
+                    if taken == b:
+                        break
+                    if w == repeat or w in skip:
+                        continue
+                    sc = float(logdist[w])
+                    if sc == _NEG_INF:
+                        break  # ranked: everything after is -inf too
+                    bucket.append((-(h.logprob + sc), new_len, h.tokens + (w,), h, w))
+                    taken += 1
 
-        new_beams: list[list[Hypothesis]] = [[] for _ in range(fsm.num_states)]
-        for s, beam in enumerate(beams.beams):
-            records = candidates.get(s, [])
-            survivors: list[Hypothesis] = [h for h in beam if h.completed]
-            if records:
-                records.sort(key=lambda r: r[:3])
-                for neg_lp, _, toks, parent, w in records[:b]:
-                    if w == eos:
-                        survivors.append(
-                            Hypothesis(toks, -neg_lp, s, completed=True)
-                        )
-                    else:
-                        state, _ = scorer.step(parent.scorer_state, w)
-                        survivors.append(
-                            Hypothesis(toks, -neg_lp, s, scorer_state=state)
-                        )
-            survivors.sort(key=Hypothesis.sort_key)
-            new_beams[s] = survivors[:b]
-        beams = BeamSet(new_beams)
+        # each beam keeps the top b of its completed hypotheses and the
+        # candidates routed to it, and steps only the kept live ones. No two
+        # records tie: candidates are longer than every completed hypothesis
+        # and their token tuples are distinct.
+        new_beams: list[list[Hypothesis]] = []
+        for s, beam in enumerate(beams):
+            pool = [(-h.logprob, len(h.tokens), h.tokens, h, None) for h in beam if h.completed]
+            pool += candidates.get(s, ())
+            pool.sort(key=lambda r: r[:3])
+            kept: list[Hypothesis] = []
+            for neg_lp, _, toks, parent, w in pool[:b]:
+                if w is None:
+                    kept.append(parent)
+                elif w == eos:
+                    kept.append(Hypothesis(toks, -neg_lp, s, completed=True))
+                else:
+                    state, _ = scorer.step(parent.scorer_state, w)
+                    kept.append(Hypothesis(toks, -neg_lp, s, scorer_state=state))
+            new_beams.append(kept)
+        beams = new_beams
 
         # terminate once the best accepted completion beats every incomplete
         # hypothesis in every beam
-        best_accepted = beams.best_completed(fsm.accepting)
-        if best_accepted is not None:
-            frontier = beams.max_incomplete_logprob()
-            if frontier == _NEG_INF or best_accepted.logprob > frontier:
-                break
+        done = [h.logprob for s in fsm.accepting for h in beams[s] if h.completed]
+        frontier = max((h.logprob for beam in beams for h in beam if not h.completed),
+                       default=_NEG_INF)
+        if done and (frontier == _NEG_INF or max(done) > frontier):
+            break
     return beams, steps
 
 
-def _assemble_result(beams: BeamSet, fsm: Fsm) -> DecodeResult:
+def _assemble_result(beams: list[list[Hypothesis]], fsm: Fsm) -> DecodeResult:
     per_state_best: dict[int, Hypothesis] = {}
-    for s, beam in enumerate(beams.beams):
+    for s, beam in enumerate(beams):
         completed = [h for h in beam if h.completed]
         if completed:
             per_state_best[s] = min(completed, key=Hypothesis.sort_key)

@@ -132,7 +132,7 @@ class TestDecode:
         assert explicit == default
 
     def test_identical_configs_are_byte_identical(self, workdir):
-        args = ("--constraints", str(workdir / "constraints.json"), "--seed", "7")
+        args = ("--constraints", str(workdir / "constraints.json"))
         first = self.run_decode(workdir, "e.jsonl", *args)
         second = self.run_decode(workdir, "f.jsonl", *args)
         assert first == second

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 from hypothesis import given, settings
@@ -301,6 +302,33 @@ class TestSpecFiles:
         spec_path.write_text(json.dumps({"disjunctions": [["zebra"]]}))
         with pytest.raises(ConstraintError, match="zebra"):
             load_constraint_spec(spec_path, chair_table_vocab)
+
+    @pytest.mark.parametrize("lemmas", [None, LemmaMap([["chair", "chairs"], ["stool", "stools"]])])
+    def test_unknown_disjunction_words_dropped_with_warning(self, lemmas, chair_table_vocab, caplog):
+        v = chair_table_vocab
+        groups = [["chair", "chiar"], ["table"], ["stool", "desk"]]
+        with caplog.at_level(logging.WARNING, logger="cbsdecode.fsm"):
+            c = DisjunctiveConstraints.from_words(groups, v, lemmas=lemmas)
+        chair = {v.id("chair")} if lemmas is None else {v.id("chair"), v.id("chairs")}
+        assert c.disjunctions == (frozenset(chair), {v.id("table")}, {v.id("desk")})
+        # one warning per group that lost a word, naming only the lost words
+        messages = [r.getMessage() for r in caplog.records if r.name == "cbsdecode.fsm"]
+        assert len(messages) == 2
+        assert "dropping ['chiar']" in messages[0]
+        assert "dropping ['stool']" in messages[1]
+        assert all(r.levelno == logging.WARNING for r in caplog.records)
+
+    @pytest.mark.parametrize("spec", [
+        {"disjunctions": [["chair", "chiar"], ["zebra"]]},
+        {"disjunctions": [["chair", "chiar"]], "phrases": [["the", "zebra"]]},
+    ])
+    def test_failing_spec_logs_no_dropped_words(self, spec, chair_table_vocab, caplog):
+        from cbsdecode.fsm import parse_constraint_spec
+
+        with caplog.at_level(logging.WARNING, logger="cbsdecode.fsm"):
+            with pytest.raises(ConstraintError, match="zebra"):
+                parse_constraint_spec(spec, chair_table_vocab)
+        assert not caplog.records
 
     def test_lemma_expansion_in_disjunctions(self, tmp_path, chair_table_vocab):
         spec_path = tmp_path / "c.json"

@@ -8,6 +8,7 @@ from cbsdecode import (
     ContractError,
     DecodeError,
     DisjunctiveConstraints,
+    Fsm,
     PhraseConstraint,
     SearchParams,
     Vocabulary,
@@ -136,6 +137,30 @@ class NoEosScorer(Scorer):
         return self._state
 
 
+class LastTokenScorer(Scorer):
+    """Next-token distribution looked up by the previous token (None before
+    the first); previous tokens without an entry use `default`."""
+
+    def __init__(self, rows, default, eos):
+        self._rows = rows
+        self._default = default
+        self._eos = eos
+
+    @property
+    def vocab_size(self):
+        return self._default.shape[0]
+
+    @property
+    def eos(self):
+        return self._eos
+
+    def initial_state(self, conditioning=None):
+        return _FixedState(self, self._rows.get(None, self._default), None)
+
+    def _advance(self, state, token):
+        return _FixedState(self, self._rows.get(token, self._default), token)
+
+
 def chair_table_setup():
     v = Vocabulary.from_tokens(
         ["a", "the", "chair", "chairs", "desk", "table", "near", "and", "dog"]
@@ -260,7 +285,7 @@ class TestConstrainedBeamSearch:
         m = random_ngram(rng, v)
         fsm = compile_disjunctions(DisjunctiveConstraints.from_sets([{0}, {1}]), v)
         beams, _ = _run_search(m, fsm, SearchParams(beam_size=4, max_len=6))
-        for s, beam in enumerate(beams.beams):
+        for s, beam in enumerate(beams):
             for h in beam:
                 state = fsm.start
                 for w in h.tokens:
@@ -274,8 +299,8 @@ class TestConstrainedBeamSearch:
             DisjunctiveConstraints.from_sets([{0}, {1}, {2}]), v
         )
         beams, _ = _run_search(m, fsm, SearchParams(beam_size=3, max_len=6))
-        assert len(beams.beams) == fsm.num_states == 8
-        assert all(len(beam) <= 3 for beam in beams.beams)
+        assert len(beams) == fsm.num_states == 8
+        assert all(len(beam) <= 3 for beam in beams)
 
     def test_terminates_before_max_len_when_dominated(self):
         v = make_vocab(4)
@@ -470,3 +495,98 @@ class TestAcceptedImpliesRecognized:
                 assert fsm.recognizes(result.best.tokens)
             elif result.status == "fallback":
                 assert not fsm.recognizes(result.best.tokens)
+
+
+def _log_softmax(logits):
+    logits = np.asarray(logits, dtype=float)
+    shifted = logits - logits[np.isfinite(logits)].max()
+    return shifted - math.log(np.exp(shifted).sum())
+
+
+def _two_group_words_fsm():
+    """0 -{0..3}-> 1 -{0..3}-> 2 (accepting); every other token stays put.
+    State 1's only exception group is {0, 1, 2, 3} -> 2."""
+    return Fsm(3, 0, {2}, 6, defaults=[0, 1, 2],
+               rows=[dict.fromkeys(range(4), 1), dict.fromkeys(range(4), 2), {}])
+
+
+class TestExceptionGroups:
+    # |V| = 6, eos = 5; the first token must be 0, so state 1 holds only (0,)
+    FIRST = _log_softmax([0.0, NEG_INF, NEG_INF, NEG_INF, NEG_INF, 0.0])
+
+    def test_group_larger_than_beam_skips_repeat_and_still_fills(self):
+        # after 0 the best token is 0 itself, which no-repeat forbids; the
+        # four-token group must still send beam_size = 2 extensions to state 2
+        after_zero = _log_softmax([5.0, 4.0, 3.0, 2.0, 1.0, 0.0])
+        scorer = LastTokenScorer({None: self.FIRST, 0: after_zero}, after_zero, eos=5)
+        beams, steps = _run_search(scorer, _two_group_words_fsm(), SearchParams(beam_size=2, max_len=2))
+        assert steps == 2
+        assert [h.tokens for h in beams[2]] == [(0, 1), (0, 2)]
+        assert [h.logprob for h in beams[2]] == [
+            float(self.FIRST[0] + after_zero[1]), float(self.FIRST[0] + after_zero[2])
+        ]
+
+    def test_group_scores_with_minus_inf_are_never_extended(self):
+        after_zero = _log_softmax([5.0, NEG_INF, 3.0, NEG_INF, 1.0, 4.0])
+        scorer = LastTokenScorer({None: self.FIRST, 0: after_zero}, after_zero, eos=5)
+        fsm = _two_group_words_fsm()
+        beams, _ = _run_search(scorer, fsm, SearchParams(beam_size=3, max_len=2))
+        # 0 is a repeat, 1 and 3 have probability zero: only (0, 2) reaches state 2
+        assert [h.tokens for h in beams[2]] == [(0, 2)]
+        assert all(math.isfinite(h.logprob) for beam in beams for h in beam)
+        params = SearchParams(beam_size=3, max_len=5)
+        result = constrained_beam_search(scorer, fsm, params)
+        expected = exhaustive_decode(scorer, fsm, params)
+        assert result.status == expected.status == "accepted"
+        assert result.best.tokens == expected.best.tokens
+        assert result.best.logprob == expected.best.logprob
+
+
+def _narrow_beam_instance(seed):
+    rng = np.random.default_rng(seed)
+    v = make_vocab(7)
+    m = random_ngram(rng, v, sentences=16)
+    others = list(range(len(v) - 1))
+    sets = [set(rng.choice(others, size=k, replace=False).tolist()) for k in (3, 2)]
+    phrase = tuple(rng.choice(others, size=2, replace=False).tolist())
+    fsm = intersect(
+        compile_disjunctions(DisjunctiveConstraints.from_sets(sets), v),
+        compile_phrase(PhraseConstraint(phrase), v),
+    )
+    params = SearchParams(beam_size=2 + seed % 2, max_len=7, no_repeat=seed % 4 < 2)
+    return m, fsm, params
+
+
+# (seed, (status, tokens, logprob.hex())). Recorded with the earlier search
+# loop, which ranked exception groups by a separate exact top-k and sorted
+# each beam twice; 14 of these 20 differ from exhaustive_decode, so they pin
+# the beam's pruning, not only the optimum.
+NARROW_BEAM_PINS = [
+    (0, ('accepted', (3, 5, 1, 2, 4, 6), '-0x1.07383d9ec9897p+3')),
+    (1, ('accepted', (5, 0, 1, 3, 6), '-0x1.d1be0389d5544p+2')),
+    (2, ('accepted', (2, 0, 4, 2, 0, 6), '-0x1.4ed225a893568p+3')),
+    (3, ('accepted', (3, 0, 1, 6), '-0x1.77cb61c7cfb87p+2')),
+    (4, ('accepted', (1, 4, 1, 4, 5, 6), '-0x1.3ae53dac73a64p+3')),
+    (5, ('accepted', (4, 1, 0, 6), '-0x1.cbb116946b64cp+2')),
+    (6, ('accepted', (4, 5, 2, 3, 6), '-0x1.e75477bc789c0p+2')),
+    (7, ('accepted', (4, 1, 6), '-0x1.805fd37f57a32p+2')),
+    (8, ('accepted', (3, 4, 5, 6), '-0x1.ec275705f507ep+2')),
+    (9, ('accepted', (0, 2, 1, 3, 6), '-0x1.fe2e08157e6b6p+2')),
+    (10, ('accepted', (3, 0, 3, 1, 6), '-0x1.185d310144b56p+3')),
+    (11, ('accepted', (5, 1, 3, 4, 6), '-0x1.a27860fa778b4p+2')),
+    (12, ('accepted', (1, 3, 5, 0, 2, 6), '-0x1.5bb24e9057a80p+3')),
+    (13, ('accepted', (5, 1, 4, 6), '-0x1.bd31f8e719f1fp+2')),
+    (14, ('accepted', (5, 1, 0, 4, 6), '-0x1.0c845860ac918p+3')),
+    (15, ('fallback', (5, 0, 6), '-0x1.1d77b24eb38f0p+2')),
+    (16, ('accepted', (0, 5, 6), '-0x1.15aa421a0b474p+2')),
+    (17, ('accepted', (3, 1, 6), '-0x1.3bcd9755f152cp+2')),
+    (18, ('fallback', (4, 5, 6), '-0x1.f00fd3eee552cp+1')),
+    (19, ('accepted', (3, 5, 1, 2, 5, 4, 6), '-0x1.4def63e495a7cp+3')),
+]
+
+
+@pytest.mark.parametrize("seed,expected", NARROW_BEAM_PINS)
+def test_narrow_beam_product_machine_pinned(seed, expected):
+    m, fsm, params = _narrow_beam_instance(seed)
+    result = constrained_beam_search(m, fsm, params)
+    assert (result.status, result.best.tokens, result.best.logprob.hex()) == expected
