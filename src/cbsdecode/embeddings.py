@@ -131,11 +131,10 @@ def expand_vocab(m: CaptionModel, word: str, vec: np.ndarray) -> tuple[CaptionMo
     The vocabulary gains the word at the next dense id; the output logit
     vector and the one-hot input dimension grow by one; no other parameter
     changes, so pre-existing logits are bit-identical before and after.
+    A word already in the vocabulary is a DataError.
     """
     word = word.lower()
-    if word in m.vocab:
-        raise DataError(f"cannot expand: {word!r} already in vocabulary")
-    expanded = m.with_expanded_column(word, vec)
+    expanded = m.with_expanded_columns([word], [vec])
     return expanded, expanded.vocab.id(word)
 
 
@@ -151,13 +150,19 @@ class ExpansionRecord:
 def apply_expansion_manifest(
     m: CaptionModel, words: Sequence[str], table: EmbeddingTable
 ) -> tuple[CaptionModel, list[ExpansionRecord]]:
-    """Expand the model with each word's table vector, in manifest order.
-    A word missing from the table is an error (no fallback initialization)."""
-    records = []
-    for order, word in enumerate(words):
-        m, token_id = expand_vocab(m, word, table[word])
-        records.append(ExpansionRecord(word=word.lower(), token_id=token_id, order=order))
-    return m, records
+    """Expand the model with each word's table vector, in manifest order, as
+    folding `expand_vocab` over the words would, but with one copy of the
+    embedding matrix. A word missing from the table is an error (no fallback
+    initialization), and so is a word already in the vocabulary or repeated
+    in the manifest."""
+    words = [word.lower() for word in words]
+    expanded = m.with_expanded_columns(words, [table[word] for word in words])
+    base = len(m.vocab)
+    records = [
+        ExpansionRecord(word=word, token_id=base + order, order=order)
+        for order, word in enumerate(words)
+    ]
+    return expanded, records
 
 
 def load_expansion_manifest(path) -> list[str]:

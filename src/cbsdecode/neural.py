@@ -33,18 +33,17 @@ GATES = ("i", "f", "o", "c")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp only ever sees -|z| <= 0, and each element takes the same formula
+    # as a two-branch stable sigmoid, so the bits match it
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Max-subtracted log-softmax; logits are never exponentiated raw."""
-    shifted = logits - logits.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    """Max-subtracted log-softmax over the last axis; logits are never
+    exponentiated raw."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 @dataclass
@@ -98,11 +97,6 @@ def lstm_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One LSTM update: gates from sigmoid/tanh of affine maps of (x, h_prev),
     then c = f*c_prev + i*g and h = o*tanh(c). Pure."""
-    h, c, _ = _lstm_forward(p, x, h_prev, c_prev)
-    return h, c
-
-
-def _lstm_forward(p, x, h_prev, c_prev):
     if x.shape != (p.input_size,) or h_prev.shape != (p.hidden_size,):
         raise DataError(
             f"lstm input shapes {x.shape}/{h_prev.shape} do not match "
@@ -110,35 +104,65 @@ def _lstm_forward(p, x, h_prev, c_prev):
         )
     if not (np.isfinite(x).all() and np.isfinite(h_prev).all() and np.isfinite(c_prev).all()):
         raise NumericError("non-finite lstm input")
-    n = p.hidden_size
-    xh = np.concatenate([x, h_prev])
-    z = p.w @ xh + p.b
-    ifo = _sigmoid(z[: 3 * n])
-    i, f, o = ifo[:n], ifo[n : 2 * n], ifo[2 * n :]
-    g = np.tanh(z[3 * n :])
-    c = f * c_prev + i * g
+    h, c, _ = _gate_cell(p.w @ np.concatenate([x, h_prev]) + p.b, c_prev)
+    return h, c
+
+
+def _gate_cell(z: np.ndarray, c_prev: np.ndarray):
+    """The LSTM nonlinearity on one step's pre-activations z (4N, row blocks
+    in GATES order). Activates z in place, so z then holds the gates
+    (i, f, o, g); returns (h, c, tanh(c))."""
+    n = c_prev.shape[0]
+    z[: 3 * n] = _sigmoid(z[: 3 * n])
+    z[3 * n :] = np.tanh(z[3 * n :])
+    c = z[n : 2 * n] * c_prev + z[:n] * z[3 * n :]
     tc = np.tanh(c)
-    h = o * tc
-    return h, c, (xh, c_prev, ifo, g, tc)
+    return z[2 * n : 3 * n] * tc, c, tc
 
 
-def _lstm_backward(p, cache, dh, dc, grads: dict[str, np.ndarray], prefix: str):
-    """Accumulate parameter gradients for one cached step; returns
-    (dx, dh_prev, dc_prev)."""
-    xh, c_prev, ifo, g, tc = cache
-    n = p.hidden_size
-    i, f, o = ifo[:n], ifo[n : 2 * n], ifo[2 * n :]
-    dc_total = dc + dh * o * (1.0 - tc * tc)
-    dz = np.empty(4 * n)
-    dz[:n] = dc_total * g
-    dz[n : 2 * n] = dc_total * c_prev
-    dz[2 * n : 3 * n] = dh * tc
-    dz[: 3 * n] *= ifo * (1.0 - ifo)
-    dz[3 * n :] = dc_total * i * (1.0 - g * g)
-    grads[f"{prefix}.w"] += np.outer(dz, xh)
-    grads[f"{prefix}.b"] += dz
-    dxh = p.w.T @ dz
-    return dxh[: p.input_size], dxh[p.input_size :], dc_total * f
+def _layer_sequence(p: LstmLayerParams, x: np.ndarray):
+    """Teacher-forced pass of one layer over a (T x K) input block. The input
+    projections of all T steps are one GEMM; only `w_h @ h` steps (Appleyard
+    et al. 2016, arXiv:1604.01946). Returns (H, C, TC, G): hidden states and
+    cells (T+1 x N, row 0 the zero initial state), tanh of the cells
+    (T x N) and the activated gates (T x 4N)."""
+    steps, k, n = len(x), p.input_size, p.hidden_size
+    g = x @ p.w[:, :k].T + p.b
+    w_h = p.w[:, k:]
+    h, c, tc = np.zeros((steps + 1, n)), np.zeros((steps + 1, n)), np.empty((steps, n))
+    for t in range(steps):
+        g[t] += w_h @ h[t]
+        h[t + 1], c[t + 1], tc[t] = _gate_cell(g[t], c[t])
+    if not (np.isfinite(h).all() and np.isfinite(c).all()):
+        raise NumericError("non-finite lstm state")
+    return h, c, tc, g
+
+
+def _layer_backprop(p: LstmLayerParams, x, h, c, tc, g, dh_out, grads, prefix: str):
+    """BPTT through one `_layer_sequence` pass, given dloss/dh_t (T x N) from
+    above. The reverse loop only fills row t of the stacked gate delta dZ;
+    the weight and bias gradients are then one GEMM and one sum. Returns
+    dZ (T x 4N)."""
+    k, n = p.input_size, p.hidden_size
+    # row t of dZ is [dc, dc, dh, dc] * mult[t], elementwise, where dc and dh
+    # carry the recurrence and mult[t] is fixed by the forward pass
+    mult = np.hstack([g[:, 3 * n :], c[:-1], tc, g[:, :n]])
+    mult[:, : 3 * n] *= g[:, : 3 * n] * (1.0 - g[:, : 3 * n])
+    mult[:, 3 * n :] *= 1.0 - g[:, 3 * n :] ** 2
+    dc_from_h = g[:, 2 * n : 3 * n] * (1.0 - tc * tc)
+    forget = g[:, n : 2 * n]
+    w_h = p.w[:, k:]
+    dz = np.empty_like(g)
+    dh_next = dc = np.zeros(n)
+    for t in reversed(range(len(x))):
+        dh = dh_out[t] + dh_next
+        dc = dc + dh * dc_from_h[t]
+        dz[t] = np.concatenate([dc, dc, dh, dc]) * mult[t]
+        dh_next = dz[t] @ w_h
+        dc = dc * forget[t]
+    grads[f"{prefix}.w"] += dz.T @ np.hstack([x, h[:-1]])
+    grads[f"{prefix}.b"] += dz.sum(axis=0)
+    return dz
 
 
 class _NeuralState(DecodeState):
@@ -264,11 +288,14 @@ class CaptionModel(Scorer):
     # forward pass
 
     def _output_logits(self, v: np.ndarray) -> np.ndarray:
-        # tied output layer: one logit per embedding column. einsum keeps each
-        # column's reduction order independent of the column count, so
-        # expanding the vocabulary leaves pre-existing logits bit-identical
-        # (BLAS matmul does not guarantee that)
-        return np.einsum("dv,d->v", self.w_e, v)
+        # tied output layer: one logit per embedding column. For one vector
+        # (decoding), einsum keeps each column's reduction order independent
+        # of the column count, so expanding the vocabulary leaves
+        # pre-existing logits bit-identical (BLAS matmul does not guarantee
+        # that). A (T x D) block of teacher-forced steps is one GEMM.
+        if v.ndim == 1:
+            return np.einsum("dv,d->v", self.w_e, v)
+        return v @ self.w_e
 
     def output_logits(self, state: "_NeuralState") -> np.ndarray:
         """Raw tied-output logits pending at `state` (pre-softmax)."""
@@ -281,18 +308,13 @@ class CaptionModel(Scorer):
             raise ContractError(f"token id {prev} out of range for |V|={self.vocab_size}")
         return self.w_e[:, prev]
 
-    def _forward_one(self, prev, h1, c1, h2, c2, cond, want_cache=False):
-        x1 = self._input_embedding(prev)
-        h1n, c1n, cache1 = _lstm_forward(self.layer1, x1, h1, c1)
-        x2 = np.concatenate([h1n, cond])
-        h2n, c2n, cache2 = _lstm_forward(self.layer2, x2, h2, c2)
-        a = self.w_v @ h2n + self.b_v
-        v = np.tanh(a)
-        logp = log_softmax(self._output_logits(v))
+    def _forward_one(self, prev, h1, c1, h2, c2, cond):
+        h1n, c1n = lstm_step(self.layer1, self._input_embedding(prev), h1, c1)
+        h2n, c2n = lstm_step(self.layer2, np.concatenate([h1n, cond]), h2, c2)
+        logp = log_softmax(self._output_logits(np.tanh(self.w_v @ h2n + self.b_v)))
         if not np.isfinite(logp).all():
             raise NumericError("model emitted a non-finite log distribution")
-        cache = (cache1, cache2, h2n, v) if want_cache else None
-        return h1n, c1n, h2n, c2n, logp, cache
+        return h1n, c1n, h2n, c2n, logp
 
     def _check_conditioning(self, conditioning) -> np.ndarray:
         if conditioning is None:
@@ -310,62 +332,59 @@ class CaptionModel(Scorer):
         cond = self._check_conditioning(conditioning)
         n = self.hidden_size
         z = np.zeros(n)
-        h1, c1, h2, c2, logp, _ = self._forward_one(None, z, z, z, z, cond)
+        h1, c1, h2, c2, logp = self._forward_one(None, z, z, z, z, cond)
         return _NeuralState(self, logp, h1, c1, h2, c2, cond)
 
     def _advance(self, state: _NeuralState, token: int) -> _NeuralState:
-        h1, c1, h2, c2, logp, _ = self._forward_one(
+        h1, c1, h2, c2, logp = self._forward_one(
             token, state.h1, state.c1, state.h2, state.c2, state.cond
         )
         return _NeuralState(self, logp, h1, c1, h2, c2, state.cond)
 
-    def _unrolled(self, seq: Sequence[int], cond: np.ndarray, want_cache: bool):
+    def _unrolled(self, seq: Sequence[int], conditioning):
         """Teacher-forced pass over the whole sequence: the input at step t is
-        the ground-truth token t-1 (start column at t=0)."""
-        n = self.hidden_size
-        h1 = c1 = h2 = c2 = np.zeros(n)
-        logps, caches = [], []
-        prev: int | None = None
-        for y in seq:
-            h1, c1, h2, c2, logp, cache = self._forward_one(
-                prev, h1, c1, h2, c2, cond, want_cache=want_cache
-            )
-            logps.append(logp)
-            caches.append(cache)
-            prev = int(y)
-        return logps, caches
+        the ground-truth token t-1 (start column at t=0). Every token, the
+        last target included, must be a vocabulary id. Returns the ids, the
+        (T x |V|) log-probabilities and the forward values that
+        `_sequence_gradients` reads."""
+        if len(seq) == 0:
+            raise DataError("cannot score an empty sequence")
+        ids = np.asarray(seq, dtype=np.intp)
+        bad = ids[(ids < 0) | (ids >= self.vocab_size)]
+        if bad.size:
+            raise ContractError(f"token id {bad[0]} out of range for |V|={self.vocab_size}")
+        cond = self._check_conditioning(conditioning)
+        x1 = np.vstack([self.start_embedding, self.w_e[:, ids[:-1]].T])
+        if not np.isfinite(x1).all():
+            raise NumericError("non-finite lstm input")
+        l1 = _layer_sequence(self.layer1, x1)
+        x2 = np.hstack([l1[0][1:], np.broadcast_to(cond, (len(ids), len(cond)))])
+        l2 = _layer_sequence(self.layer2, x2)
+        v = np.tanh(l2[0][1:] @ self.w_v.T + self.b_v)
+        logp = log_softmax(self._output_logits(v))
+        if not np.isfinite(logp).all():
+            raise NumericError("model emitted a non-finite log distribution")
+        return ids, logp, (x1, l1, x2, l2, v)
 
     def sequence_loss(self, seq: Sequence[int], conditioning=None) -> float:
         """Mean over timesteps of the negative log probability of the next
         ground-truth token (softmax cross-entropy, teacher forcing)."""
-        if len(seq) == 0:
-            raise DataError("cannot score an empty sequence")
-        cond = self._check_conditioning(conditioning)
-        logps, _ = self._unrolled(seq, cond, want_cache=False)
-        return -float(np.mean([logp[y] for logp, y in zip(logps, seq)]))
+        ids, logp, _ = self._unrolled(seq, conditioning)
+        return -float(logp[np.arange(len(ids)), ids].mean())
 
-    def _sequence_gradients(self, seq, cond, grads):
-        logps, caches = self._unrolled(seq, cond, want_cache=True)
-        T = len(seq)
-        n = self.hidden_size
-        dh1n = dc1n = dh2n = dc2n = np.zeros(n)
-        loss = 0.0
-        for t in reversed(range(T)):
-            cache1, cache2, h2, v = caches[t]
-            y = seq[t]
-            loss -= float(logps[t][y])
-            dlogits = np.exp(logps[t])
-            dlogits[y] -= 1.0
-            dlogits /= T
-            dv = self.w_e @ dlogits
-            da = dv * (1.0 - v * v)
-            grads["w_v"] += np.outer(da, h2)
-            grads["b_v"] += da
-            dh2 = self.w_v.T @ da + dh2n
-            dx2, dh2n, dc2n = _lstm_backward(self.layer2, cache2, dh2, dc2n, grads, "layer2")
-            dh1 = dx2[:n] + dh1n
-            _, dh1n, dc1n = _lstm_backward(self.layer1, cache1, dh1, dc1n, grads, "layer1")
-        return loss / T
+    def _sequence_gradients(self, seq, conditioning, grads) -> float:
+        ids, logp, (x1, l1, x2, l2, v) = self._unrolled(seq, conditioning)
+        rows = np.arange(len(ids))
+        dlogits = np.exp(logp)
+        dlogits[rows, ids] -= 1.0
+        dlogits /= len(ids)
+        da = (dlogits @ self.w_e.T) * (1.0 - v * v)
+        grads["w_v"] += da.T @ l2[0][1:]
+        grads["b_v"] += da.sum(axis=0)
+        dz2 = _layer_backprop(self.layer2, x2, *l2, da @ self.w_v, grads, "layer2")
+        dh1 = dz2 @ self.layer2.w[:, : self.hidden_size]
+        _layer_backprop(self.layer1, x1, *l1, dh1, grads, "layer1")
+        return -float(logp[rows, ids].mean())
 
     def gradients(self, batch: Sequence[tuple[Sequence[int], np.ndarray | None]]):
         """Analytic BPTT gradients of the mean sequence loss over the batch,
@@ -378,10 +397,7 @@ class CaptionModel(Scorer):
         grads = {name: np.zeros_like(arr) for name, arr in self.trainable().items()}
         total = 0.0
         for seq, conditioning in batch:
-            if len(seq) == 0:
-                raise DataError("cannot score an empty sequence")
-            cond = self._check_conditioning(conditioning)
-            total += self._sequence_gradients(seq, cond, grads)
+            total += self._sequence_gradients(seq, conditioning, grads)
         scale = 1.0 / len(batch)
         for name, g in grads.items():
             g *= scale
@@ -391,19 +407,26 @@ class CaptionModel(Scorer):
 
     # vocabulary expansion support (driven by the embeddings module)
 
-    def with_expanded_column(self, word: str, vec: np.ndarray) -> "CaptionModel":
-        """New model whose embedding matrix gains `vec` as the column for
-        `word`; every other parameter is shared unchanged."""
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.embed_dim,):
-            raise DataError(
-                f"expansion vector has shape {vec.shape}, expected ({self.embed_dim},)"
-            )
-        if not np.isfinite(vec).all():
-            raise DataError(f"expansion vector for {word!r} contains non-finite values")
+    def with_expanded_columns(
+        self, words: Sequence[str], vecs: Sequence[np.ndarray]
+    ) -> "CaptionModel":
+        """New model whose vocabulary gains `words` in order, with `vecs` as
+        their embedding columns, appended in one concatenation; every other
+        parameter is shared unchanged."""
+        vocab = self.vocab.extended(*words)
+        cols = []
+        for word, vec in zip(words, vecs, strict=True):
+            vec = np.asarray(vec, dtype=np.float64)
+            if vec.shape != (self.embed_dim,):
+                raise DataError(
+                    f"expansion vector has shape {vec.shape}, expected ({self.embed_dim},)"
+                )
+            if not np.isfinite(vec).all():
+                raise DataError(f"expansion vector for {word!r} contains non-finite values")
+            cols.append(vec[:, None])
         return CaptionModel(
-            vocab=self.vocab.extended(word),
-            w_e=np.concatenate([self.w_e, vec[:, None]], axis=1),
+            vocab=vocab,
+            w_e=np.concatenate([self.w_e, *cols], axis=1),
             layer1=self.layer1,
             layer2=self.layer2,
             w_v=self.w_v,

@@ -64,11 +64,12 @@ class Vocabulary:
     def decode(self, ids: Iterable[int]) -> list[str]:
         return [self.word(i) for i in ids]
 
-    def extended(self, word: str) -> "Vocabulary":
-        """New vocabulary with `word` appended at id len(self)."""
-        if word in self._index:
-            raise DataError(f"token already in vocabulary: {word!r}")
-        return Vocabulary(self.tokens + (word,), eos_token=self.tokens[self.eos])
+    def extended(self, *words: str) -> "Vocabulary":
+        """New vocabulary with `words` appended at ids len(self), len(self)+1, ..."""
+        for word in words:
+            if word in self._index:
+                raise DataError(f"token already in vocabulary: {word!r}")
+        return Vocabulary(self.tokens + words, eos_token=self.tokens[self.eos])
 
     def __contains__(self, word: str) -> bool:
         return word in self._index

@@ -14,6 +14,7 @@ from cbsdecode import (
     nearest_neighbors,
 )
 from cbsdecode.embeddings import (
+    ExpansionRecord,
     apply_expansion_manifest,
     build_caption_model,
     embedding_matrix,
@@ -190,6 +191,41 @@ class TestExpandVocab:
         assert [r.word for r in records] == ["racket", "zebra"]
         assert [r.token_id for r in records] == [len(v), len(v) + 1]
         assert records[0].order == 0 and records[1].order == 1
+
+
+    def test_manifest_equals_word_by_word_expansion(self, rng):
+        v, m = trained_tiny_model(rng)
+        words = ["Racket", "zebra", "axolotl"]
+        table = EmbeddingTable(m.embed_dim, {w.lower(): rng.normal(size=m.embed_dim) for w in words})
+        once, records = apply_expansion_manifest(m, words, table)
+        folded, folded_records = m, []
+        for order, word in enumerate(words):
+            folded, token_id = expand_vocab(folded, word, table[word])
+            folded_records.append(ExpansionRecord(word.lower(), token_id, order))
+        assert once.w_e.tobytes() == folded.w_e.tobytes()
+        assert once.vocab.tokens == folded.vocab.tokens
+        assert records == folded_records
+
+    @pytest.mark.parametrize(
+        "defect", ["word in vocabulary", "word repeated", "word not in table", "wrong dimension"]
+    )
+    def test_bad_manifest_rejected(self, rng, defect):
+        v, m = trained_tiny_model(rng)
+        dim = m.embed_dim + (defect == "wrong dimension")
+        table = EmbeddingTable(dim, {"racket": rng.normal(size=dim), v.tokens[0]: np.zeros(dim)})
+        words = {
+            "word in vocabulary": ["racket", v.tokens[0]],
+            "word repeated": ["racket", "Racket"],
+            "word not in table": ["racket", "zebra"],
+            "wrong dimension": ["racket"],
+        }[defect]
+        with pytest.raises(DataError):
+            apply_expansion_manifest(m, words, table)
+
+    def test_non_finite_vector_rejected(self, rng):
+        v, m = trained_tiny_model(rng)
+        with pytest.raises(DataError):
+            expand_vocab(m, "newword", np.full(m.embed_dim, np.nan))
 
 
 class TestNearestNeighbors:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cbsdecode import (
+    ContractError,
     DataError,
     NumericError,
     Vocabulary,
@@ -16,6 +17,7 @@ from cbsdecode.neural import (
     GATES,
     CaptionModel,
     LstmLayerParams,
+    _sigmoid,
     load_checkpoint,
     lstm_step,
     save_checkpoint,
@@ -128,6 +130,19 @@ class TestLstmStep:
             lstm_step(p, np.array([np.nan, 0.0]), np.zeros(2), np.zeros(2))
 
 
+def test_sigmoid_bits_equal_two_branch_formula():
+    rng = np.random.default_rng(17)
+    edges = [0.0, -0.0, 1e-320, -1e-320, 745.0, -745.0, 800.0, -800.0, 1e308, -1e308]
+    z = np.concatenate([edges, rng.standard_normal(10**6) * 10.0 ** rng.uniform(-3, 3, 10**6)])
+    with np.errstate(over="raise", invalid="raise"):
+        pos = z >= 0
+        ref = np.empty_like(z)
+        ref[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        ref[~pos] = ez / (1.0 + ez)
+        assert _sigmoid(z).tobytes() == ref.tobytes()
+
+
 class TestBuild:
     def test_seeded_draws_fill_gate_blocks_in_documented_order(self):
         v = make_vocab(5)
@@ -228,6 +243,39 @@ class TestSequenceLoss:
         with pytest.raises(DataError):
             m.sequence_loss([])
 
+    def test_long_sequence_matches_step_outputs(self, rng):
+        # the sequence pass at decode-like width: D=300, T=13
+        v, m = tiny_model(rng, vocab_size=50, embed_dim=300, hidden=16)
+        cond = rng.normal(size=2)
+        seq = [int(x) for x in rng.integers(0, v.eos, size=12)] + [v.eos]
+        state = m.initial_state(cond)
+        contribs = []
+        for w in seq:
+            contribs.append(float(state.log_probs[w]))
+            state, _ = m.step(state, w)
+        assert m.sequence_loss(seq, cond) == pytest.approx(-np.mean(contribs), abs=1e-12)
+
+    @pytest.mark.parametrize("call", ["sequence_loss", "gradients"])
+    @pytest.mark.parametrize("bad", [-1, "|V|"])
+    def test_out_of_range_final_target_rejected(self, rng, call, bad):
+        v, m = tiny_model(rng)
+        bad = len(v) if bad == "|V|" else bad
+        seq = [0, 1, bad]
+        with pytest.raises(ContractError, match=f"token id {bad} "):
+            if call == "sequence_loss":
+                m.sequence_loss(seq)
+            else:
+                m.gradients([(seq, None)])
+
+    def test_non_finite_weight_raises_numeric_error(self, rng):
+        v, m = tiny_model(rng)
+        m.layer2.w[1, 2] = np.nan
+        seq = [0, 1, v.eos]
+        with pytest.raises(NumericError):
+            m.sequence_loss(seq)
+        with pytest.raises(NumericError):
+            m.gradients([(seq, None)])
+
 
 class TestGradients:
     def test_embedding_matrix_has_no_gradient_entry(self, rng):
@@ -239,6 +287,13 @@ class TestGradients:
     def test_matches_finite_differences(self, rng):
         v, m = tiny_model(rng, vocab_size=5, embed_dim=6, hidden=3, cond=2)
         seq = [1, 0, 2, v.eos]
+        worst = finite_difference_check(m, seq, rng.normal(size=2))
+        assert worst < 1e-4
+
+    def test_long_sequence_matches_finite_differences(self, rng):
+        # nine steps of BPTT through the stacked gate deltas
+        v, m = tiny_model(rng, vocab_size=5, embed_dim=6, hidden=3, cond=2)
+        seq = [1, 0, 2, 3, 1, 1, 0, 2, v.eos]
         worst = finite_difference_check(m, seq, rng.normal(size=2))
         assert worst < 1e-4
 
@@ -310,6 +365,15 @@ class TestTrain:
         assert results[0][0] == results[1][0]
         for k in results[0][1]:
             np.testing.assert_array_equal(results[0][1][k], results[1][1][k])
+
+    def test_one_token_sequence_trains(self, rng):
+        v, m = tiny_model(rng)
+        corpus = [([v.eos], None), ([v.eos], np.ones(2))]
+        report = train(m, corpus, lr=0.5, epochs=5, seed=0)
+        assert report.final < report.initial
+        assert report.final == pytest.approx(
+            np.mean([-m.initial_state(c).log_probs[v.eos] for _, c in corpus]), abs=1e-12
+        )
 
     def test_callable_learning_rate(self, rng):
         v, m = tiny_model(rng)
