@@ -31,6 +31,12 @@ CHECKPOINT_VERSION = 2
 
 GATES = ("i", "f", "o", "c")
 
+# Decoding runs every GEMM on fixed shapes, ROWS-row blocks of hypotheses
+# and TILE-column tiles of w_e, the last of each zero-padded: BLAS picks its
+# kernel, and so the bits of each row and column, from the operand shapes.
+ROWS = 8
+TILE = 512
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp only ever sees -|z| <= 0, and each element takes the same formula
@@ -109,15 +115,26 @@ def lstm_step(
 
 
 def _gate_cell(z: np.ndarray, c_prev: np.ndarray):
-    """The LSTM nonlinearity on one step's pre-activations z (4N, row blocks
-    in GATES order). Activates z in place, so z then holds the gates
+    """The LSTM nonlinearity on pre-activations z (..., 4N), last-axis blocks
+    in GATES order. Activates z in place, so z then holds the gates
     (i, f, o, g); returns (h, c, tanh(c))."""
-    n = c_prev.shape[0]
-    z[: 3 * n] = _sigmoid(z[: 3 * n])
-    z[3 * n :] = np.tanh(z[3 * n :])
-    c = z[n : 2 * n] * c_prev + z[:n] * z[3 * n :]
+    n = c_prev.shape[-1]
+    z[..., : 3 * n] = _sigmoid(z[..., : 3 * n])
+    z[..., 3 * n :] = np.tanh(z[..., 3 * n :])
+    c = z[..., n : 2 * n] * c_prev + z[..., :n] * z[..., 3 * n :]
     tc = np.tanh(c)
-    return z[2 * n : 3 * n] * tc, c, tc
+    return z[..., 2 * n : 3 * n] * tc, c, tc
+
+
+def _blocked(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`a @ w` as one (ROWS x K) @ (K x M) GEMM per block of rows of `a`, the
+    last block zero-padded, so each row gets the bits it gets alone."""
+    rows = len(a)
+    a = np.concatenate([a, np.zeros((-rows % ROWS, a.shape[1]))])
+    out = np.empty((len(a), w.shape[1]))
+    for lo in range(0, len(a), ROWS):
+        np.matmul(a[lo : lo + ROWS], w, out=out[lo : lo + ROWS])
+    return out[:rows]
 
 
 def _layer_sequence(p: LstmLayerParams, x: np.ndarray):
@@ -288,33 +305,39 @@ class CaptionModel(Scorer):
     # forward pass
 
     def _output_logits(self, v: np.ndarray) -> np.ndarray:
-        # tied output layer: one logit per embedding column. For one vector
-        # (decoding), einsum keeps each column's reduction order independent
-        # of the column count, so expanding the vocabulary leaves
-        # pre-existing logits bit-identical (BLAS matmul does not guarantee
-        # that). A (T x D) block of teacher-forced steps is one GEMM.
-        if v.ndim == 1:
-            return np.einsum("dv,d->v", self.w_e, v)
+        # teacher-forced tied output layer: one (T x D) @ (D x |V|) GEMM
         return v @ self.w_e
 
+    def _tied_logits(self, h2: np.ndarray) -> np.ndarray:
+        """Decode-time tied output layer: (B x |V|) logits of B top-layer states,
+        a `_blocked` GEMM per TILE columns of w_e. The last tile is padded on
+        each call: an attribute holding part of w_e is copied by deep copies."""
+        v = np.tanh(_blocked(h2, self.w_v.T) + self.b_v)
+        d, cols = self.w_e.shape
+        logits = np.empty((len(v), cols + -cols % TILE))
+        for lo in range(0, cols, TILE):
+            tile = self.w_e[:, lo : lo + TILE]
+            if tile.shape[1] < TILE:
+                tile = np.hstack([tile, np.zeros((d, TILE - tile.shape[1]))])
+            logits[:, lo : lo + TILE] = _blocked(v, tile)
+        return logits[:, :cols]
+
     def output_logits(self, state: "_NeuralState") -> np.ndarray:
-        """Raw tied-output logits pending at `state` (pre-softmax)."""
-        return self._output_logits(np.tanh(self.w_v @ state.h2 + self.b_v))
+        """Raw tied-output logits pending at `state` (pre-softmax), bit-equal
+        to the ones behind its `log_probs`."""
+        return self._tied_logits(state.h2[None])[0]
 
-    def _input_embedding(self, prev: int | None) -> np.ndarray:
-        if prev is None:
-            return self.start_embedding
-        if not 0 <= prev < self.vocab_size:
-            raise ContractError(f"token id {prev} out of range for |V|={self.vocab_size}")
-        return self.w_e[:, prev]
-
-    def _forward_one(self, prev, h1, c1, h2, c2, cond):
-        h1n, c1n = lstm_step(self.layer1, self._input_embedding(prev), h1, c1)
-        h2n, c2n = lstm_step(self.layer2, np.concatenate([h1n, cond]), h2, c2)
-        logp = log_softmax(self._output_logits(np.tanh(self.w_v @ h2n + self.b_v)))
+    def _step_rows(self, x, h1, c1, h2, c2, cond) -> list["_NeuralState"]:
+        """The decode step of B hypotheses, given their rows as (B x .) arrays;
+        one state per row, whose bits depend neither on B nor on its place."""
+        z1 = _blocked(np.hstack([x, h1]), self.layer1.w.T) + self.layer1.b
+        h1, c1, _ = _gate_cell(z1, c1)
+        z2 = _blocked(np.hstack([h1, cond, h2]), self.layer2.w.T) + self.layer2.b
+        h2, c2, _ = _gate_cell(z2, c2)
+        logp = log_softmax(self._tied_logits(h2))
         if not np.isfinite(logp).all():
             raise NumericError("model emitted a non-finite log distribution")
-        return h1n, c1n, h2n, c2n, logp
+        return [_NeuralState(self, *row) for row in zip(logp, h1, c1, h2, c2, cond)]
 
     def _check_conditioning(self, conditioning) -> np.ndarray:
         if conditioning is None:
@@ -330,16 +353,16 @@ class CaptionModel(Scorer):
 
     def initial_state(self, conditioning=None) -> _NeuralState:
         cond = self._check_conditioning(conditioning)
-        n = self.hidden_size
-        z = np.zeros(n)
-        h1, c1, h2, c2, logp = self._forward_one(None, z, z, z, z, cond)
-        return _NeuralState(self, logp, h1, c1, h2, c2, cond)
+        z = np.zeros((1, self.hidden_size))
+        (state,) = self._step_rows(self.start_embedding[None], z, z, z, z, cond[None])
+        return state
+
+    def _advance_all(self, states, tokens) -> list[_NeuralState]:
+        rows = zip(*((s.h1, s.c1, s.h2, s.c2, s.cond) for s in states))
+        return self._step_rows(self.w_e[:, tokens].T, *(np.array(r) for r in rows))
 
     def _advance(self, state: _NeuralState, token: int) -> _NeuralState:
-        h1, c1, h2, c2, logp = self._forward_one(
-            token, state.h1, state.c1, state.h2, state.c2, state.cond
-        )
-        return _NeuralState(self, logp, h1, c1, h2, c2, state.cond)
+        return self._advance_all([state], [token])[0]
 
     def _unrolled(self, seq: Sequence[int], conditioning):
         """Teacher-forced pass over the whole sequence: the input at step t is

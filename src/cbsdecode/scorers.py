@@ -3,7 +3,7 @@
 A scorer exposes a stepwise conditional next-token log distribution with
 cheaply cloneable decode state. Decode states are immutable values: the
 state returned by `initial_state` already carries the pending distribution
-over the first token, and every `step` returns a fresh state carrying the
+over the first token, and `advance` returns fresh states carrying the
 distribution over the following one.
 """
 
@@ -61,14 +61,28 @@ class Scorer(ABC):
     @abstractmethod
     def _advance(self, state: DecodeState, token: int) -> DecodeState: ...
 
+    def _advance_all(self, states: Sequence[DecodeState], tokens: Sequence[int]) -> list[DecodeState]:
+        """Batch hook behind `advance` (validated, non-empty): loops `_advance`."""
+        return [self._advance(s, w) for s, w in zip(states, tokens)]
+
+    def advance(self, states: Sequence[DecodeState], tokens: Sequence[int]) -> list[DecodeState]:
+        """The next state after consuming tokens[i] in states[i], for each i in
+        order; a state's successor depends only on (state, token), never on
+        the rest of the batch. Validates every argument before advancing."""
+        if len(states) != len(tokens):
+            raise ContractError(f"{len(states)} decode states for {len(tokens)} tokens")
+        v = self.vocab_size
+        for state, token in zip(states, tokens):
+            if not isinstance(state, DecodeState) or state.owner is not self:
+                raise ContractError("decode state does not belong to this scorer")
+            if not 0 <= token < v:
+                raise ContractError(f"token id {token} out of range for |V|={v}")
+        return self._advance_all(states, tokens) if states else []
+
     def step(self, state: DecodeState, token: int) -> tuple[DecodeState, np.ndarray]:
-        """Consume `token`, returning the next state and the log distribution
-        over the following token. Pure given (state, token)."""
-        if not isinstance(state, DecodeState) or state.owner is not self:
-            raise ContractError("decode state does not belong to this scorer")
-        if not 0 <= token < self.vocab_size:
-            raise ContractError(f"token id {token} out of range for |V|={self.vocab_size}")
-        nxt = self._advance(state, token)
+        """One-state form of `advance`: the next state and the log
+        distribution over the following token."""
+        (nxt,) = self.advance([state], [token])
         return nxt, nxt.log_probs
 
 

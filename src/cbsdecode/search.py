@@ -197,10 +197,12 @@ def _run_search(
                     taken += 1
 
         # each beam keeps the top b of its completed hypotheses and the
-        # candidates routed to it, and steps only the kept live ones. No two
-        # records tie: candidates are longer than every completed hypothesis
-        # and their token tuples are distinct.
+        # candidates routed to it, and only the kept live ones are advanced,
+        # all beams' in one scorer call. No two records tie: candidates are
+        # longer than every completed hypothesis and their token tuples are
+        # distinct.
         new_beams: list[list[Hypothesis]] = []
+        grown: list[Hypothesis] = []  # hold their parent's scorer state until advanced
         for s, beam in enumerate(beams):
             pool = [(-h.logprob, len(h.tokens), h.tokens, h, None) for h in beam if h.completed]
             pool += candidates.get(s, ())
@@ -212,9 +214,12 @@ def _run_search(
                 elif w == eos:
                     kept.append(Hypothesis(toks, -neg_lp, s, completed=True))
                 else:
-                    state, _ = scorer.step(parent.scorer_state, w)
-                    kept.append(Hypothesis(toks, -neg_lp, s, scorer_state=state))
+                    kept.append(Hypothesis(toks, -neg_lp, s, scorer_state=parent.scorer_state))
+                    grown.append(kept[-1])
             new_beams.append(kept)
+        states = scorer.advance([h.scorer_state for h in grown], [h.tokens[-1] for h in grown])
+        for h, state in zip(grown, states):
+            h.scorer_state = state
         beams = new_beams
 
         # terminate once the best accepted completion beats every incomplete
@@ -370,6 +375,7 @@ def exhaustive_decode(
         depth = len(tokens)
         logdist = decode_state.log_probs
         last = tokens[-1] if tokens else None
+        children = []  # (token, fsm state, logprob) of every non-EOS extension
         for w in range(v):
             if params.no_repeat and w == last:
                 continue
@@ -380,8 +386,10 @@ def exhaustive_decode(
             if w == eos:
                 consider(tokens + (w,), lp, nxt)
             elif depth + 1 < params.max_len:
-                child, _ = scorer.step(decode_state, w)
-                visit(child, nxt, tokens + (w,), lp)
+                children.append((w, nxt, lp))
+        states = scorer.advance([decode_state] * len(children), [w for w, _, _ in children])
+        for (w, nxt, lp), child in zip(children, states):
+            visit(child, nxt, tokens + (w,), lp)
 
     visit(scorer.initial_state(conditioning), fsm.start, (), 0.0)
     return _result_from_per_state(best_per_state, fsm)

@@ -299,6 +299,41 @@ class TestTrainAndExpand:
         assert obj["status"] == "accepted"
         assert "zebra" in obj["text"].split()
 
+    def test_neural_decode_of_expanded_model_same_bytes_for_any_workers(self, tmp_path, rng):
+        words = ["the", "cat", "sat", "dog", "ran"]
+        emb = tmp_path / "emb.txt"
+        self.write_embeddings(emb, words + ["zebra", "yak"], dim=8, rng=rng)
+        v = Vocabulary.from_tokens(words)
+        ckpt, expanded = tmp_path / "lm.npz", tmp_path / "lm2.npz"
+        save_checkpoint(CaptionModel.build(v, rng.normal(size=(8, len(v))), 6, 2, rng=rng), ckpt)
+        manifest = tmp_path / "exp.json"
+        manifest.write_text(json.dumps(
+            [{"word": w, "source": "embedding-file"} for w in ("zebra", "yak")]
+        ))
+        assert main(
+            ["expand", "--model", str(ckpt), "--embeddings", str(emb),
+             "--manifest", str(manifest), "--out", str(expanded)]
+        ) == 0
+        inputs = tmp_path / "inputs.jsonl"
+        inputs.write_text("".join(
+            json.dumps({"id": i, "features": rng.normal(size=2).tolist()}) + "\n"
+            for i in range(6)
+        ))
+        constraints = tmp_path / "c.json"
+        constraints.write_text(json.dumps({"disjunctions": [["zebra", "yak"], ["cat"]]}))
+        outputs = []
+        for workers in (1, 2):
+            out = tmp_path / f"out{workers}.jsonl"
+            assert main(
+                ["decode", "--scorer", "neural", "--model", str(expanded),
+                 "--inputs", str(inputs), "--constraints", str(constraints),
+                 "--beam", "3", "--max-len", "6", "--workers", str(workers),
+                 "--out", str(out)]
+            ) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert [json.loads(line)["id"] for line in outputs[0].splitlines()] == list(range(6))
+
     def test_train_lm_missing_embedding_word_fails(self, tmp_path, rng):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("the cat sat\n")

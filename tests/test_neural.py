@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbsdecode import (
     ContractError,
@@ -15,6 +17,7 @@ from cbsdecode import (
 from cbsdecode.neural import (
     CHECKPOINT_FORMAT,
     GATES,
+    ROWS,
     CaptionModel,
     LstmLayerParams,
     _sigmoid,
@@ -458,3 +461,63 @@ class TestDecodeAfterTraining:
         train(m, corpus, lr=0.5, epochs=40, seed=1)
         best = beam_search(m, SearchParams(beam_size=1, max_len=6))
         assert list(best.tokens) == pattern
+
+
+# (embedding dim, hidden size, conditioning dim, |V|): a tiny model, and the
+# shapes of the neural-novel benchmark
+DECODE_SHAPES = {"tiny": (5, 4, 2, 9), "bench": (300, 128, 16, 5064)}
+STATE_ARRAYS = ("log_probs", "h1", "c1", "h2", "c2")
+
+
+def random_decode_model(d, n, cond, size, seed):
+    rng = np.random.default_rng(seed)
+    w_e = rng.normal(size=(d, size))
+    return CaptionModel.build(make_vocab(size), w_e, n, cond, rng=rng, init_scale=0.2)
+
+
+@pytest.fixture(scope="module", params=sorted(DECODE_SHAPES))
+def shaped_model(request):
+    return random_decode_model(*DECODE_SHAPES[request.param], seed=3)
+
+
+def assert_same_bits(got, want, fields=STATE_ARRAYS):
+    for name in fields:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+class TestBatchedStep:
+    """`advance` runs fixed-shape GEMMs (ROWS-row blocks, TILE-column tiles of
+    w_e), so a state's arrays must not depend on its batch, its position in
+    it, or |V|. A plain GEMM over the batch breaks this under OpenBLAS 0.3.31
+    with its SkylakeX kernels."""
+
+    @given(b=st.integers(1, 3 * ROWS + 1), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_advance_rows_bit_identical_to_stepping_alone(self, shaped_model, b, seed):
+        m = shaped_model
+        rng = np.random.default_rng(seed)
+        states = [m.initial_state(rng.normal(size=m.cond_dim)) for _ in range(b)]
+        for _ in range(2):
+            tokens = rng.integers(0, m.vocab_size, size=b).tolist()
+            batch = m.advance(states, tokens)
+            for state, w, got in zip(states, tokens, batch):
+                assert_same_bits(got, m.step(state, w)[0])
+            states = batch
+
+    @pytest.mark.parametrize("d", [5, 300])
+    @pytest.mark.parametrize("size, added", [(20, 5), (511, 3), (1024, 2), (5064, 64)])
+    def test_expansion_keeps_old_output_logits_bits(self, d, size, added):
+        m = random_decode_model(d, 6, 2, size, seed=size + d)
+        rng = np.random.default_rng(size)
+        big = m.with_expanded_columns(
+            [f"new{i}" for i in range(added)], rng.normal(size=(added, d))
+        )
+        cond = rng.normal(size=2)
+        old, new = [m.initial_state(cond)], [big.initial_state(cond)]
+        for _ in range(3):
+            for s_old, s_new in zip(old, new):
+                assert big.output_logits(s_new)[:size].tobytes() == m.output_logits(s_old).tobytes()
+                assert_same_bits(s_new, s_old, ("h1", "c1", "h2", "c2"))
+            tokens = rng.integers(0, size - 1, size=len(old) + ROWS // 2 + 1).tolist()
+            old = m.advance([old[i % len(old)] for i in range(len(tokens))], tokens)
+            new = big.advance([new[i % len(new)] for i in range(len(tokens))], tokens)

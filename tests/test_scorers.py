@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbsdecode import (
+    CaptionModel,
     ContractError,
     DataError,
     NGramModel,
@@ -158,6 +159,52 @@ class TestScoreStep:
         _, d1 = m.step(state, 2)
         _, d2 = twin.owner.step(twin, 2)
         np.testing.assert_array_equal(d1, d2)
+
+
+def batch_scorer(kind, rng):
+    v = make_vocab(6)
+    if kind == "ngram":
+        return random_ngram(rng, v, order=3)
+    if kind == "uniform":
+        return UniformScorer(len(v))
+    return CaptionModel.build(v, rng.normal(size=(5, len(v))), 4, 2, rng=rng, init_scale=0.5)
+
+
+class TestAdvance:
+    @pytest.fixture(params=["ngram", "uniform", "neural"])
+    def scorer(self, request, rng):
+        return batch_scorer(request.param, rng)
+
+    def test_empty_batch(self, scorer):
+        assert scorer.advance([], []) == []
+
+    @pytest.mark.parametrize("defect", ["foreign state", "token -1", "token |V|", "length"])
+    def test_bad_argument_raises_before_any_state_advances(self, scorer, defect, monkeypatch):
+        states = [scorer.initial_state()] * 3
+        tokens = [0, 1, 2]
+        if defect == "foreign state":
+            states[-1] = UniformScorer(scorer.vocab_size).initial_state()
+        elif defect == "length":
+            tokens.pop()
+        else:
+            tokens[-1] = -1 if defect == "token -1" else scorer.vocab_size
+        calls = []
+        for hook in ("_advance", "_advance_all"):
+            original = getattr(scorer, hook)
+            monkeypatch.setattr(
+                scorer, hook, lambda *args, _f=original: calls.append(args) or _f(*args)
+            )
+        with pytest.raises(ContractError):
+            scorer.advance(states, tokens)
+        assert calls == []
+
+    def test_equals_a_loop_of_step(self, scorer, rng):
+        states = [scorer.initial_state()]
+        for w in (0, 2, 1, 3):
+            states.append(scorer.step(states[-1], w)[0])
+        tokens = rng.integers(0, scorer.vocab_size, size=len(states)).tolist()
+        for state, w, got in zip(states, tokens, scorer.advance(states, tokens)):
+            np.testing.assert_array_equal(got.log_probs, scorer.step(state, w)[1])
 
 
 class TestPersistence:

@@ -22,6 +22,7 @@ from cbsdecode import (
     ngram_train,
     trivial_fsm,
 )
+from cbsdecode.neural import CaptionModel
 from cbsdecode.scorers import DecodeState, Scorer
 from cbsdecode.search import _run_search
 from conftest import make_vocab, random_ngram
@@ -465,6 +466,35 @@ class TestExhaustiveDecode:
         m = random_ngram(rng, v)
         with pytest.raises(ConfigError):
             exhaustive_decode(m, trivial_fsm(len(v)), SearchParams(max_len=10), limit=1000)
+
+
+def _outcome(result):
+    best = result.best
+    return result.status, best and best.tokens, best and best.logprob.hex()
+
+
+@pytest.mark.parametrize("kind", ["trivial", "disjunction", "phrase"])
+@pytest.mark.parametrize("seed", range(7))
+def test_neural_wide_beam_equals_exhaustive(seed, kind):
+    # every state the search advances in a batch gets the bits it gets alone
+    # in the oracle, so even the log-probability hex digits agree
+    rng = np.random.default_rng(seed)
+    size = 4 + seed % 3
+    v = make_vocab(size)
+    m = CaptionModel.build(v, rng.normal(size=(5, size)), 4, 2, rng=rng, init_scale=1.0)
+    words = rng.permutation(size - 1).tolist()
+    if kind == "trivial":
+        fsm = trivial_fsm(size)
+    elif kind == "disjunction":
+        sets = [{words[0]}, {words[1], words[2]}]
+        fsm = compile_disjunctions(DisjunctiveConstraints.from_sets(sets), v)
+    else:
+        fsm = compile_phrase(PhraseConstraint((words[0], words[1])), v)
+    params = SearchParams(beam_size=size**4, max_len=4)
+    cond = rng.normal(size=2)
+    assert _outcome(constrained_beam_search(m, fsm, params, cond)) == _outcome(
+        exhaustive_decode(m, fsm, params, cond)
+    )
 
 
 class TestAcceptedImpliesRecognized:
