@@ -165,34 +165,40 @@ def _write_json(obj, out: str | None) -> None:
             fh.write("\n")
 
 
+def _run_machine(spec, vocab: Vocabulary) -> fsm_mod.Fsm:
+    """The one machine every input of a run decodes under, built once per
+    run: the product of the spec's constraints, or the machine that accepts
+    everything when there is no spec."""
+    if spec is None:
+        return fsm_mod.trivial_fsm(len(vocab))
+    return fsm_mod.compile_spec(spec, vocab)
+
+
 # decode worker plumbing; module-level so multiprocessing can fork it
 
 _WORK: dict = {}
 
 
-def _decode_one_setup(scorer, vocab, spec, params, phrase_mode, per_state):
+def _decode_one_setup(scorer, vocab, spec, machine, params, per_state):
     _WORK.update(
         scorer=scorer,
         vocab=vocab,
         spec=spec,
+        machine=machine,
         params=params,
-        phrase_mode=phrase_mode,
         per_state=per_state,
     )
 
 
-def _run_one_decode(scorer, vocab, spec, params, phrase_mode, conditioning) -> DecodeResult:
-    if spec is None or spec.empty:
-        machine = fsm_mod.trivial_fsm(len(vocab))
-        return constrained_beam_search(scorer, machine, params, conditioning)
-    if phrase_mode == "any" and spec.phrases:
+def _run_one_decode(scorer, spec, machine, params, conditioning) -> DecodeResult:
+    if machine is None:  # --phrase-mode any: one run per phrase
         base = None
         if spec.disjunctions.disjunctions:
-            base = fsm_mod.compile_disjunctions(spec.disjunctions, vocab)
+            base = fsm_mod.compile_disjunctions(spec.disjunctions, scorer.vocab_size)
         return decode_multi_phrase(
             scorer, spec.phrases, params, conditioning, base_fsm=base
         )
-    return constrained_beam_search(scorer, fsm_mod.compile_spec(spec, vocab), params, conditioning)
+    return constrained_beam_search(scorer, machine, params, conditioning)
 
 
 def _decode_one(task: tuple[int, dict]) -> tuple[int, str]:
@@ -201,12 +207,7 @@ def _decode_one(task: tuple[int, dict]) -> tuple[int, str]:
     if "features" in item:
         conditioning = np.asarray(item["features"], dtype=np.float64)
     result = _run_one_decode(
-        _WORK["scorer"],
-        _WORK["vocab"],
-        _WORK["spec"],
-        _WORK["params"],
-        _WORK["phrase_mode"],
-        conditioning,
+        _WORK["scorer"], _WORK["spec"], _WORK["machine"], _WORK["params"], conditioning
     )
     line: dict = {"id": item.get("id", index)}
     line.update(result.to_dict(_WORK["vocab"], per_state=_WORK["per_state"]))
@@ -273,14 +274,15 @@ def decode(
     tasks = list(enumerate(items))
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
+    per_phrase = phrase_mode == "any" and spec is not None and spec.phrases
+    machine = None if per_phrase else _run_machine(spec, vocab)
+    setup = (scorer, vocab, spec, machine, params, emit_per_state)
     if workers == 1 or len(tasks) == 1:
-        _decode_one_setup(scorer, vocab, spec, params, phrase_mode, emit_per_state)
+        _decode_one_setup(*setup)
         produced = [_decode_one(t) for t in tasks]
     else:
         with multiprocessing.Pool(
-            processes=workers,
-            initializer=_decode_one_setup,
-            initargs=(scorer, vocab, spec, params, phrase_mode, emit_per_state),
+            processes=workers, initializer=_decode_one_setup, initargs=setup
         ) as pool:
             produced = pool.map(_decode_one, tasks)
     produced.sort(key=lambda pair: pair[0])
@@ -301,11 +303,7 @@ def oracle(scorer_kind, model, inputs, constraints, lemmas, max_len, no_repeat, 
     """Exhaustive filtered-argmax decode for tiny instances: enumerate every
     sequence up to --max-len and keep the best one the FSM accepts."""
     scorer, vocab = _resolve_scorer(scorer_kind, model)
-    spec = _load_spec(constraints, lemmas, vocab)
-    if spec is None or spec.empty:
-        machine = fsm_mod.trivial_fsm(len(vocab))
-    else:
-        machine = fsm_mod.compile_spec(spec, vocab)
+    machine = _run_machine(_load_spec(constraints, lemmas, vocab), vocab)
     params = SearchParams(max_len=max_len, no_repeat=no_repeat)
     lines = []
     for index, item in enumerate(_read_inputs(inputs)):

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -147,6 +148,20 @@ def expand_lemmas(word: str, lm: LemmaMap, v: Vocabulary) -> set[int]:
     return {v.id(w) for w in lm.group(word) | {word.lower()} if w in v}
 
 
+class RouteTable(NamedTuple):
+    """An FSM's explicit transitions as arrays. `tokens` is the ascending
+    union of every state's explicitly listed tokens; dest[s, k] is the
+    destination of tokens[k] from state s, or -1 where tokens[k] takes s's
+    default; col[w] is the index of token w in `tokens`, or len(tokens) for
+    every other token; `widest` is the most tokens one state sends
+    explicitly to one destination."""
+
+    tokens: np.ndarray
+    dest: np.ndarray
+    col: np.ndarray
+    widest: int
+
+
 class Fsm:
     """Deterministic FSM over token ids with a total transition function.
 
@@ -172,7 +187,7 @@ class Fsm:
         self.defaults = tuple(defaults)
         self.rows: tuple[dict[int, int], ...] = tuple(dict(r) for r in rows)
         self.progress = tuple(progress) if progress is not None else (0,) * num_states
-        self._exception_cache: dict[int, list[tuple[int, np.ndarray]]] = {}
+        self._route_table: RouteTable | None = None
         self._validate()
 
     def _validate(self) -> None:
@@ -210,22 +225,20 @@ class Fsm:
             state = self.step(state, w)
         return state in self.accepting
 
-    def exception_groups(self, state: int) -> list[tuple[int, np.ndarray]]:
-        """Only the explicitly listed transitions of `state`, grouped by
-        destination: [(dest, ascending token_ids)]. Tokens not listed here
-        take the state's default transition. Cached; arrays are read-only."""
-        cached = self._exception_cache.get(state)
-        if cached is not None:
-            return cached
-        by_dest: dict[int, list[int]] = {}
-        for w, nxt in self.rows[state].items():
-            by_dest.setdefault(nxt, []).append(w)
-        groups = [
-            (dest, np.array(sorted(toks), dtype=np.int64))
-            for dest, toks in sorted(by_dest.items())
-        ]
-        self._exception_cache[state] = groups
-        return groups
+    def route_table(self) -> RouteTable:
+        """The explicit transitions as arrays, for the search's candidate
+        routes. Cached; the arrays are read-only."""
+        if self._route_table is None:
+            tokens = sorted(set().union(*self.rows))
+            col = np.full(self.vocab_size, len(tokens))
+            col[tokens] = np.arange(len(tokens))
+            dest = np.array([[row.get(w, -1) for w in tokens] for row in self.rows], dtype=np.int64)
+            widest = max((max(Counter(row.values()).values()) for row in self.rows if row), default=0)
+            table = RouteTable(np.array(tokens, dtype=np.int64), dest, col, widest)
+            for a in table[:3]:
+                a.flags.writeable = False
+            self._route_table = table
+        return self._route_table
 
     def dump(self) -> dict:
         """Debug form: sparse list of non-self-loop transitions."""
@@ -285,7 +298,7 @@ def trivial_fsm(vocab_size: int) -> Fsm:
 
 
 def compile_disjunctions(
-    c: DisjunctiveConstraints, v: Vocabulary, max_sets: int = MAX_DISJUNCTIONS
+    c: DisjunctiveConstraints, vocab_size: int, max_sets: int = MAX_DISJUNCTIONS
 ) -> Fsm:
     """One state per subset of satisfied disjunctions (state = bitmask).
 
@@ -297,7 +310,7 @@ def compile_disjunctions(
         raise CapacityError(f"{m} disjunction sets would need 2^{m} beams (cap {max_sets})")
     bits: dict[int, int] = {}
     for i, d in enumerate(c.disjunctions):
-        _check_token_ids(d, len(v))
+        _check_token_ids(d, vocab_size)
         for w in d:
             bits[w] = bits.get(w, 0) | (1 << i)
     num_states = 1 << m
@@ -310,21 +323,21 @@ def compile_disjunctions(
         num_states=num_states,
         start=0,
         accepting={num_states - 1},
-        vocab_size=len(v),
+        vocab_size=vocab_size,
         defaults=list(range(num_states)),
         rows=rows,
         progress=progress,
     )
 
 
-def compile_phrase(p: PhraseConstraint, v: Vocabulary) -> Fsm:
+def compile_phrase(p: PhraseConstraint, vocab_size: int) -> Fsm:
     """Prefix-matching automaton: state k = longest suffix matching p[:k].
 
     len(p)+1 states; mismatches follow the classic prefix-failure function so
     overlapping partial matches are never dropped. The final state is
     absorbing and accepting.
     """
-    _check_token_ids(p.tokens, len(v))
+    _check_token_ids(p.tokens, vocab_size)
     toks = p.tokens
     n = len(toks)
     # failure function: fail[k] = length of longest proper prefix of p[:k]
@@ -361,7 +374,7 @@ def compile_phrase(p: PhraseConstraint, v: Vocabulary) -> Fsm:
         num_states=n + 1,
         start=0,
         accepting={n},
-        vocab_size=len(v),
+        vocab_size=vocab_size,
         defaults=defaults,
         rows=rows,
         progress=progress,
@@ -490,9 +503,9 @@ def compile_spec(spec: ConstraintSpec, vocab: Vocabulary) -> Fsm:
     """Single machine enforcing every constraint in the spec (product form)."""
     machines: list[Fsm] = []
     if spec.disjunctions.disjunctions:
-        machines.append(compile_disjunctions(spec.disjunctions, vocab))
+        machines.append(compile_disjunctions(spec.disjunctions, len(vocab)))
     for p in spec.phrases:
-        machines.append(compile_phrase(p, vocab))
+        machines.append(compile_phrase(p, len(vocab)))
     if not machines:
         return trivial_fsm(len(vocab))
     return intersect_all(machines)

@@ -14,8 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ConstraintError, ContractError, DecodeError
-from .fsm import Fsm, PhraseConstraint, compile_phrase, intersect, trivial_fsm
-from .scorers import DecodeState, Scorer
+from .fsm import Fsm, PhraseConstraint, RouteTable, compile_phrase, intersect, trivial_fsm
+from .scorers import Scorer
 from .vocab import Vocabulary
 
 ACCEPTED = "accepted"
@@ -50,7 +50,6 @@ class Hypothesis:
     logprob: float
     fsm_state: int
     completed: bool = False
-    scorer_state: DecodeState | None = None
 
     def sort_key(self):
         """Total order: logprob desc, then length asc, then lexicographic."""
@@ -100,38 +99,25 @@ class DecodeResult:
         return out
 
 
-def _ranked(ids: np.ndarray, logdist: np.ndarray) -> list[int]:
-    """`ids` ordered by (score desc, token asc), the hypothesis total order
-    among extensions of one parent."""
-    return ids[np.lexsort((ids, -logdist[ids]))].tolist()
-
-
-def _ordered_prefix(cache: dict, logdist: np.ndarray, k: int) -> list[int]:
-    """Token ids of the k best entries of `logdist`, exactly ordered by
-    (score desc, token asc).
-
-    The ordering depends only on the distribution row, not on the hypothesis
-    holding it, so it is cached per row object and shared across hypotheses,
-    timesteps, and beams (scorers with few distinct contexts reuse one row for
-    many states). The cache keeps a reference to the row, which pins its id.
-    """
-    key = id(logdist)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit[1]
-    n = logdist.shape[0]
-    if k >= n:
+def _top_entries(row: np.ndarray, k: int, table: RouteTable) -> tuple:
+    """`(row, ints, floats)` for one distribution row. `ints` holds the ids
+    of the row's k best entries, exactly ordered by (score desc, token asc),
+    then their route-table columns; `floats` holds their scores, then the
+    row's scores at the route table's tokens. Holding the row pins its id,
+    the key of the per-search cache of these entries."""
+    n, c = row.shape[0], 4 * k
+    if c >= n:
         chosen = np.arange(n)
     else:
-        part = np.argpartition(logdist, n - k)[n - k:]
-        cutoff = logdist[part].min()
-        better = np.nonzero(logdist > cutoff)[0]
-        fill = k - better.shape[0]
-        ties = np.nonzero(logdist == cutoff)[0][:fill]
-        chosen = np.concatenate([better, ties])
-    order = _ranked(chosen, logdist)
-    cache[key] = (logdist, order)
-    return order
+        # k of c strided slices hold an entry at least `least`, so the best k
+        # are the entries above it plus, when those are too few, the lowest
+        # ids equal to it (an n-gram row is mostly one floor value)
+        least = np.partition(row[: n // c * c].reshape(-1, c).max(axis=0), c - k)[c - k]
+        chosen = np.flatnonzero(row > least)
+        if chosen.shape[0] < k:
+            chosen = np.concatenate([chosen, np.flatnonzero(row == least)[: k - chosen.shape[0]]])
+    ids = chosen[np.lexsort((chosen, -row[chosen]))][:k]
+    return row, np.concatenate([ids, table.col[ids]]), np.concatenate([row[ids], row[table.tokens]])
 
 
 def _run_search(
@@ -141,94 +127,147 @@ def _run_search(
     conditioning: np.ndarray | None = None,
 ) -> tuple[list[list[Hypothesis]], int]:
     """Multi-beam decode loop. Returns the final beams (one per FSM state,
-    best-first) and the steps taken."""
+    best-first) and the steps taken.
+
+    Each timestep works on arrays over every live hypothesis at once. A
+    hypothesis extends along routes: the default route takes its best
+    `beam_size` tokens that its state does not list, and each exception
+    route its best `beam_size` among the listed tokens sent to one
+    destination, both by (score desc, token asc), skipping the no-repeat
+    token and -inf scores. Each destination beam then keeps the top
+    `beam_size` of its completed hypotheses and the candidates routed to
+    it, by (logprob desc, length asc, lexicographic tokens), in one lexsort.
+    Live hypotheses at a step all have its length and distinct token
+    tuples, so among candidates the lexicographic order is (parent's rank,
+    token), and completed hypotheses are shorter than every candidate."""
     if scorer.vocab_size < 1:
         raise ContractError("scorer has an empty vocabulary")
     if scorer.vocab_size != fsm.vocab_size:
         raise ContractError(
             f"FSM vocabulary size {fsm.vocab_size} does not match scorer {scorer.vocab_size}"
         )
-    eos = scorer.eos
-    b = params.beam_size
-    root = Hypothesis(
-        tokens=(),
-        logprob=0.0,
-        fsm_state=fsm.start,
-        completed=False,
-        scorer_state=scorer.initial_state(conditioning),
-    )
-    beams: list[list[Hypothesis]] = [[] for _ in range(fsm.num_states)]
-    beams[fsm.start].append(root)
+    eos, b, v = scorer.eos, params.beam_size, scorer.vocab_size
+    table = fsm.route_table()
+    nx = table.tokens.shape[0]
+    # listed[s * (nx + 1) + col[w]]: whether state s lists token w
+    listed = np.zeros((fsm.num_states, nx + 1), dtype=bool)
+    listed[:, :nx] = table.dest >= 0
+    listed = listed.ravel()
+    defaults = np.array(fsm.defaults)
+    accepting = np.zeros(fsm.num_states, dtype=bool)
+    accepting[list(fsm.accepting)] = True
+    # a row's best (beam + listed + 1) always cover the default route's best
+    # beam after skipping listed tokens and the no-repeat token
+    k = min(v, b + 1 + max(len(row) for row in fsm.rows))
+    tops: dict = {}  # id(row) -> _top_entries(row, k, table)
 
-    # top-(beam + exceptions + 1) of a row always covers the default group's
-    # top-(beam) after filtering exception tokens and one no-repeat exclusion
-    prefix_len = b + 1 + max(len(row) for row in fsm.rows)
-    row_cache: dict = {}
+    # live hypotheses: decode states, and parallel arrays of FSM state,
+    # logprob, tokens (one row each) and rank in lexicographic order
+    states = [scorer.initial_state(conditioning)]
+    fsm_state = np.array([fsm.start])
+    logprob = np.zeros(1)
+    tokens = np.zeros((1, 0), dtype=np.int64)
+    rank = np.zeros(1, dtype=np.int64)
+    # completed hypotheses: token tuples, and parallel arrays of FSM state
+    # and logprob. Kept in selection order, so ones of one beam with equal
+    # logprobs stand in (length, lexicographic) order
+    finished: list[tuple[int, ...]] = []
+    done_state = np.zeros(0, dtype=np.int64)
+    done_lp = np.zeros(0)
 
     steps = 0
-    for _ in range(params.max_len):
-        live = [(s, h) for s, beam in enumerate(beams) for h in beam if not h.completed]
-        if not live:
+    for t in range(params.max_len):
+        if not states:
             break
         steps += 1
-        # candidate records per destination: (neg_logprob, length, tokens, parent, token)
-        candidates: dict[int, list] = {}
-        for s, h in live:
-            logdist = h.scorer_state.log_probs
-            repeat = h.tokens[-1] if params.no_repeat and h.tokens else None
-            new_len = len(h.tokens) + 1
-            # routes: (destination, ranked tokens, tokens to skip). The default
-            # route reads the row's cached ordering and skips the tokens with
-            # explicit transitions; each exception group ranks its own few.
-            routes = [(fsm.defaults[s], _ordered_prefix(row_cache, logdist, prefix_len), fsm.rows[s])]
-            routes += [(dest, _ranked(toks, logdist), ()) for dest, toks in fsm.exception_groups(s)]
-            for dest, ranked, skip in routes:
-                bucket = candidates.setdefault(dest, [])
-                taken = 0
-                for w in ranked:
-                    if taken == b:
-                        break
-                    if w == repeat or w in skip:
-                        continue
-                    sc = float(logdist[w])
-                    if sc == _NEG_INF:
-                        break  # ranked: everything after is -inf too
-                    bucket.append((-(h.logprob + sc), new_len, h.tokens + (w,), h, w))
-                    taken += 1
+        slot_of: dict[int, int] = {}
+        rows: list[tuple] = []
+        slot = []
+        for state in states:
+            row = state.log_probs
+            i = slot_of.get(id(row))
+            if i is None:
+                i = slot_of[id(row)] = len(rows)
+                hit = tops.get(id(row))
+                if hit is None:
+                    hit = tops[id(row)] = _top_entries(row, k, table)
+                rows.append(hit)
+            slot.append(i)
+        slot = np.array(slot)
+        ints = np.array([r[1] for r in rows])[slot]
+        floats = np.array([r[2] for r in rows])[slot]
+        ids, cols, scores, xs = ints[:, :k], ints[:, k:], floats[:, :k], floats[:, k:]
+        last = tokens[:, -1:] if params.no_repeat and t else -1
 
-        # each beam keeps the top b of its completed hypotheses and the
-        # candidates routed to it, and only the kept live ones are advanced,
-        # all beams' in one scorer call. No two records tie: candidates are
-        # longer than every completed hypothesis and their token tuples are
-        # distinct.
-        new_beams: list[list[Hypothesis]] = []
-        grown: list[Hypothesis] = []  # hold their parent's scorer state until advanced
-        for s, beam in enumerate(beams):
-            pool = [(-h.logprob, len(h.tokens), h.tokens, h, None) for h in beam if h.completed]
-            pool += candidates.get(s, ())
-            pool.sort(key=lambda r: r[:3])
-            kept: list[Hypothesis] = []
-            for neg_lp, _, toks, parent, w in pool[:b]:
-                if w is None:
-                    kept.append(parent)
-                elif w == eos:
-                    kept.append(Hypothesis(toks, -neg_lp, s, completed=True))
-                else:
-                    kept.append(Hypothesis(toks, -neg_lp, s, scorer_state=parent.scorer_state))
-                    grown.append(kept[-1])
-            new_beams.append(kept)
-        states = scorer.advance([h.scorer_state for h in grown], [h.tokens[-1] for h in grown])
-        for h, state in zip(grown, states):
-            h.scorer_state = state
-        beams = new_beams
+        # default route
+        ok = ~listed[(fsm_state * (nx + 1))[:, None] + cols]
+        ok &= (ids != last) & (scores > _NEG_INF)
+        ok &= ok.cumsum(axis=1) <= b
+        f = np.flatnonzero(ok)
+        par = f // k
+        routes = [(par, ids.ravel()[f], scores.ravel()[f], defaults[fsm_state[par]])]
+
+        # exception routes: the best b per (parent, destination)
+        if nx:
+            xd = table.dest[fsm_state]
+            f = np.flatnonzero((xd >= 0) & (table.tokens != last) & (xs > _NEG_INF))
+            par, w, sc, d = f // nx, table.tokens[f % nx], xs.ravel()[f], xd.ravel()[f]
+            if table.widest > b:
+                order = np.lexsort((w, -sc, d, par))
+                group = (par * fsm.num_states + d)[order]
+                order = order[np.arange(order.shape[0]) - np.searchsorted(group, group) < b]
+                par, w, sc, d = par[order], w[order], sc[order], d[order]
+            routes.append((par, w, sc, d))
+        par, w, sc, d = (np.concatenate(x) for x in zip(*routes))
+
+        # selection: the first b of each destination in one lexsort. A
+        # completed hypothesis's tie key is its (negative) position, which
+        # puts it in order and ahead of every candidate, all longer
+        lp = logprob[par] + sc
+        lex = rank[par] * v + w
+        nd = len(finished)
+        pool_d = np.concatenate([done_state, d])
+        order = np.lexsort((
+            np.concatenate([np.arange(-nd, 0), lex]),
+            -np.concatenate([done_lp, lp]),
+            pool_d,
+        ))
+        sd = pool_d[order]
+        kept = order[np.arange(order.shape[0]) - np.searchsorted(sd, sd) < b]
+
+        old = kept[kept < nd]
+        c = kept[kept >= nd] - nd
+        fin = w[c] == eos
+        new = c[fin]
+        finished = [finished[i] for i in old.tolist()]
+        finished += [tuple(tokens[i].tolist()) + (eos,) for i in par[new].tolist()]
+        done_state = np.concatenate([done_state[old], d[new]])
+        done_lp = np.concatenate([done_lp[old], lp[new]])
+
+        # the kept live candidates, beam by beam and best first, advanced in
+        # one scorer call
+        grow = c[~fin]
+        parents = par[grow]
+        states = scorer.advance([states[i] for i in parents.tolist()], w[grow].tolist())
+        fsm_state, logprob = d[grow], lp[grow]
+        tokens = np.concatenate([tokens[parents], w[grow, None]], axis=1)
+        rank = np.empty(grow.shape[0], dtype=np.int64)
+        rank[np.argsort(lex[grow])] = np.arange(grow.shape[0])
 
         # terminate once the best accepted completion beats every incomplete
         # hypothesis in every beam
-        done = [h.logprob for s in fsm.accepting for h in beams[s] if h.completed]
-        frontier = max((h.logprob for beam in beams for h in beam if not h.completed),
-                       default=_NEG_INF)
-        if done and (frontier == _NEG_INF or max(done) > frontier):
+        acc = accepting[done_state]
+        frontier = logprob.max() if states else _NEG_INF
+        if acc.any() and (frontier == _NEG_INF or done_lp[acc].max() > frontier):
             break
+
+    beams: list[list[Hypothesis]] = [[] for _ in range(fsm.num_states)]
+    for s, lp_, toks in zip(fsm_state.tolist(), logprob.tolist(), tokens.tolist()):
+        beams[s].append(Hypothesis(tuple(toks), lp_, s))
+    for toks, s, lp_ in zip(finished, done_state.tolist(), done_lp.tolist()):
+        beams[s].append(Hypothesis(toks, lp_, s, completed=True))
+    for beam in beams:
+        beam.sort(key=Hypothesis.sort_key)
     return beams, steps
 
 
@@ -311,7 +350,7 @@ def decode_multi_phrase(
         raise ConstraintError("decode_multi_phrase needs at least one phrase")
     results: list[DecodeResult] = []
     for p in phrases:
-        machine = compile_phrase(p, _SizedVocab(scorer.vocab_size))
+        machine = compile_phrase(p, scorer.vocab_size)
         if base_fsm is not None:
             machine = intersect(base_fsm, machine)
         results.append(constrained_beam_search(scorer, machine, params, conditioning))
@@ -320,17 +359,6 @@ def decode_multi_phrase(
         if pool:
             return min(pool, key=lambda r: r.best.sort_key())
     return results[0]
-
-
-class _SizedVocab:
-    """Duck-typed stand-in exposing only a size, for compiling id-level
-    constraints without a surface-string vocabulary."""
-
-    def __init__(self, n: int):
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n
 
 
 def exhaustive_decode(

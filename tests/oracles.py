@@ -3,11 +3,15 @@
 Nothing here reuses the package's decoding or automaton paths: constraint
 checks are direct set-membership and substring scans, sequence scores are
 chain-rule sums of individually queried conditionals, and the argmax is a
-full enumeration.
+full enumeration. The reference search loop at the end reads a machine's
+`defaults` and `rows` directly and steps the scorer through `advance`.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
+
+import numpy as np
 
 
 def satisfies_disjunctions(seq, sets) -> bool:
@@ -83,3 +87,121 @@ def greedy_decode(scorer, max_len, no_repeat=True, conditioning=None):
             break
         state, _ = scorer.step(state, w)
     return tuple(tokens), total
+
+
+# The constrained search loop as it stood before the array beam update, kept
+# as the reference for `search._run_search`: one Python record per candidate,
+# routes ranked per hypothesis, and one sort per destination beam.
+
+_NEG_INF = float("-inf")
+
+
+@dataclass
+class RefHypothesis:
+    tokens: tuple
+    logprob: float
+    fsm_state: int
+    completed: bool = False
+    scorer_state: object = None
+
+
+def _ranked(ids, logdist):
+    """`ids` ordered by (score desc, token asc)."""
+    return ids[np.lexsort((ids, -logdist[ids]))].tolist()
+
+
+def _ordered_prefix(cache, logdist, k):
+    """Token ids of the k best entries of `logdist`, ordered by (score desc,
+    token asc); cached per row object."""
+    key = id(logdist)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit[1]
+    n = logdist.shape[0]
+    if k >= n:
+        chosen = np.arange(n)
+    else:
+        part = np.argpartition(logdist, n - k)[n - k:]
+        cutoff = logdist[part].min()
+        better = np.nonzero(logdist > cutoff)[0]
+        fill = k - better.shape[0]
+        ties = np.nonzero(logdist == cutoff)[0][:fill]
+        chosen = np.concatenate([better, ties])
+    order = _ranked(chosen, logdist)
+    cache[key] = (logdist, order)
+    return order
+
+
+def _exception_groups(fsm, state):
+    """The explicit transitions of `state` grouped by destination:
+    [(dest, ascending token ids)], destinations ascending."""
+    by_dest = {}
+    for w, nxt in fsm.rows[state].items():
+        by_dest.setdefault(nxt, []).append(w)
+    return [(dest, np.array(sorted(toks), dtype=np.int64)) for dest, toks in sorted(by_dest.items())]
+
+
+def reference_run_search(scorer, fsm, params, conditioning=None):
+    """Final beams (one per FSM state, best-first) and the steps taken."""
+    eos = scorer.eos
+    b = params.beam_size
+    root = RefHypothesis((), 0.0, fsm.start, scorer_state=scorer.initial_state(conditioning))
+    beams = [[] for _ in range(fsm.num_states)]
+    beams[fsm.start].append(root)
+    prefix_len = b + 1 + max(len(row) for row in fsm.rows)
+    row_cache = {}
+
+    steps = 0
+    for _ in range(params.max_len):
+        live = [(s, h) for s, beam in enumerate(beams) for h in beam if not h.completed]
+        if not live:
+            break
+        steps += 1
+        candidates = {}
+        for s, h in live:
+            logdist = h.scorer_state.log_probs
+            repeat = h.tokens[-1] if params.no_repeat and h.tokens else None
+            new_len = len(h.tokens) + 1
+            routes = [(fsm.defaults[s], _ordered_prefix(row_cache, logdist, prefix_len), fsm.rows[s])]
+            routes += [(dest, _ranked(toks, logdist), ()) for dest, toks in _exception_groups(fsm, s)]
+            for dest, ranked, skip in routes:
+                bucket = candidates.setdefault(dest, [])
+                taken = 0
+                for w in ranked:
+                    if taken == b:
+                        break
+                    if w == repeat or w in skip:
+                        continue
+                    sc = float(logdist[w])
+                    if sc == _NEG_INF:
+                        break
+                    bucket.append((-(h.logprob + sc), new_len, h.tokens + (w,), h, w))
+                    taken += 1
+
+        new_beams = []
+        grown = []
+        for s, beam in enumerate(beams):
+            pool = [(-h.logprob, len(h.tokens), h.tokens, h, None) for h in beam if h.completed]
+            pool += candidates.get(s, ())
+            pool.sort(key=lambda r: r[:3])
+            kept = []
+            for neg_lp, _, toks, parent, w in pool[:b]:
+                if w is None:
+                    kept.append(parent)
+                elif w == eos:
+                    kept.append(RefHypothesis(toks, -neg_lp, s, completed=True))
+                else:
+                    kept.append(RefHypothesis(toks, -neg_lp, s, scorer_state=parent.scorer_state))
+                    grown.append(kept[-1])
+            new_beams.append(kept)
+        states = scorer.advance([h.scorer_state for h in grown], [h.tokens[-1] for h in grown])
+        for h, state in zip(grown, states):
+            h.scorer_state = state
+        beams = new_beams
+
+        done = [h.logprob for s in fsm.accepting for h in beams[s] if h.completed]
+        frontier = max((h.logprob for beam in beams for h in beam if not h.completed),
+                       default=_NEG_INF)
+        if done and (frontier == _NEG_INF or max(done) > frontier):
+            break
+    return beams, steps

@@ -68,9 +68,9 @@ def random_constrained_instance(rng, index):
         phrase = tuple(rng.choice(others, size=int(rng.integers(1, 4))).tolist())
     machines = []
     if sets:
-        machines.append(compile_disjunctions(DisjunctiveConstraints.from_sets(sets), v))
+        machines.append(compile_disjunctions(DisjunctiveConstraints.from_sets(sets), len(v)))
     if phrase is not None:
-        machines.append(compile_phrase(PhraseConstraint(phrase), v))
+        machines.append(compile_phrase(PhraseConstraint(phrase), len(v)))
     if not machines:
         fsm = trivial_fsm(size)
     elif len(machines) == 1:
@@ -170,10 +170,10 @@ def test_criterion_04_fsm_structure():
     v = make_vocab(9)
     for m in range(7):
         c = DisjunctiveConstraints.from_sets([{i} for i in range(m)])
-        assert compile_disjunctions(c, v).num_states == 2**m
+        assert compile_disjunctions(c, len(v)).num_states == 2**m
     for length in range(1, 9):
         p = PhraseConstraint(tuple(i % 3 for i in range(length)))
-        assert compile_phrase(p, v).num_states == length + 1
+        assert compile_phrase(p, len(v)).num_states == length + 1
 
     alphabet = Vocabulary.from_tokens(["a", "b"])  # 3 tokens with eos
     ids = range(len(alphabet))
@@ -183,7 +183,7 @@ def test_criterion_04_fsm_structure():
         for phrase in all_sequences(ids, length):
             if len(phrase) != length:
                 continue
-            fsm = compile_phrase(PhraseConstraint(phrase), alphabet)
+            fsm = compile_phrase(PhraseConstraint(phrase), len(alphabet))
             for s in strings:
                 assert fsm.recognizes(s) == contains_phrase(s, phrase)
                 checked += 1
@@ -360,7 +360,7 @@ def test_criterion_08_vocabulary_expansion(toy_training):
 
     # (c) a constrained decode forcing a new word succeeds end to end
     fsm = compile_disjunctions(
-        DisjunctiveConstraints.from_words([["racket"]], expanded.vocab), expanded.vocab
+        DisjunctiveConstraints.from_words([["racket"]], expanded.vocab), len(expanded.vocab)
     )
     result = constrained_beam_search(
         expanded, fsm, SearchParams(beam_size=8, max_len=12), cond
@@ -418,7 +418,7 @@ def test_criterion_10_multi_phrase_protocol():
     ]
     params = SearchParams(beam_size=6, max_len=8)
     combined = decode_multi_phrase(scorer, phrases, params)
-    runs = [constrained_beam_search(scorer, compile_phrase(p, v), params) for p in phrases]
+    runs = [constrained_beam_search(scorer, compile_phrase(p, len(v)), params) for p in phrases]
     accepted = [r for r in runs if r.status == "accepted"]
     assert accepted
     best = min(accepted, key=lambda r: (-r.best.logprob, len(r.best.tokens), r.best.tokens))

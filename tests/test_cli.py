@@ -152,6 +152,25 @@ class TestDecode:
         ids = [json.loads(l)["id"] for l in serial.decode().splitlines()]
         assert ids == list(range(6))
 
+    @pytest.mark.parametrize("command", ["decode", "oracle"])
+    def test_machine_compiled_once_per_run(self, workdir, monkeypatch, command):
+        from cbsdecode import fsm
+
+        calls = []
+        compile_once = fsm.compile_spec
+        monkeypatch.setattr(fsm, "compile_spec", lambda *a: calls.append(a) or compile_once(*a))
+        inputs = workdir / "five.jsonl"
+        inputs.write_text("".join(json.dumps({"id": i}) + "\n" for i in range(5)))
+        out = workdir / f"once-{command}.jsonl"
+        code = main(
+            [command, "--model", str(workdir / "model.json"), "--inputs", str(inputs),
+             "--constraints", str(workdir / "constraints.json"), "--max-len", "4",
+             "--out", str(out)]
+        )
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 5
+        assert len(calls) == 1
+
     def test_oracle_agrees_with_wide_beam(self, workdir):
         oracle_out = workdir / "oracle.jsonl"
         code = main(

@@ -166,7 +166,7 @@ class TestExpandVocab:
             v.id("racket")  # not decodable before expansion
         m2, new_id = expand_vocab(m, "racket", rng.normal(size=m.embed_dim))
         fsm = compile_disjunctions(
-            DisjunctiveConstraints.from_words([["racket"]], m2.vocab), m2.vocab
+            DisjunctiveConstraints.from_words([["racket"]], m2.vocab), len(m2.vocab)
         )
         result = constrained_beam_search(m2, fsm, SearchParams(beam_size=5, max_len=8))
         assert result.status == "accepted"

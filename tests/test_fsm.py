@@ -28,7 +28,7 @@ from oracles import all_sequences, contains_phrase, satisfies_disjunctions
 
 def chair_table_fsm(v):
     c = DisjunctiveConstraints.from_words([["chair", "chairs"], ["desk", "table"]], v)
-    return compile_disjunctions(c, v)
+    return compile_disjunctions(c, len(v))
 
 
 class TestCompileDisjunctions:
@@ -42,7 +42,7 @@ class TestCompileDisjunctions:
         assert f.step(1, v.id("table")) == 3
 
     def test_no_constraints_gives_single_state(self, chair_table_vocab):
-        f = compile_disjunctions(DisjunctiveConstraints.from_sets([]), chair_table_vocab)
+        f = compile_disjunctions(DisjunctiveConstraints.from_sets([]), len(chair_table_vocab))
         assert f.num_states == 1
         assert f.start in f.accepting
         assert all(f.step(0, w) == 0 for w in range(len(chair_table_vocab)))
@@ -51,13 +51,13 @@ class TestCompileDisjunctions:
     def test_state_count_is_two_to_the_m(self, m):
         v = make_vocab(9)
         c = DisjunctiveConstraints.from_sets([{i} for i in range(m)])
-        assert compile_disjunctions(c, v).num_states == 2**m
+        assert compile_disjunctions(c, len(v)).num_states == 2**m
 
     def test_three_singletons_vs_membership_oracle(self):
         # exhaustive check over every sequence of length <= 4 from 5 tokens
         v = make_vocab(5)
         sets = [{0}, {1}, {2}]
-        f = compile_disjunctions(DisjunctiveConstraints.from_sets(sets), v)
+        f = compile_disjunctions(DisjunctiveConstraints.from_sets(sets), len(v))
         assert f.num_states == 8
         for seq in all_sequences(range(len(v)), 4):
             assert f.recognizes(seq) == satisfies_disjunctions(seq, sets)
@@ -65,18 +65,18 @@ class TestCompileDisjunctions:
     def test_invalid_token_id(self):
         v = make_vocab(4)
         with pytest.raises(ConstraintError):
-            compile_disjunctions(DisjunctiveConstraints.from_sets([{99}]), v)
+            compile_disjunctions(DisjunctiveConstraints.from_sets([{99}]), len(v))
 
     def test_capacity_cap(self):
         v = make_vocab(20)
         c = DisjunctiveConstraints.from_sets([{i} for i in range(17)])
         with pytest.raises(CapacityError):
-            compile_disjunctions(c, v)
+            compile_disjunctions(c, len(v))
 
     def test_bitmask_monotone_along_paths(self, rng):
         v = make_vocab(6)
         sets = [{0, 1}, {2}, {3}]
-        f = compile_disjunctions(DisjunctiveConstraints.from_sets(sets), v)
+        f = compile_disjunctions(DisjunctiveConstraints.from_sets(sets), len(v))
         for _ in range(200):
             state = f.start
             for w in rng.integers(0, len(v), size=8):
@@ -86,14 +86,14 @@ class TestCompileDisjunctions:
 
     def test_word_in_two_sets_advances_both_bits(self):
         v = make_vocab(5)
-        f = compile_disjunctions(DisjunctiveConstraints.from_sets([{0, 1}, {1, 2}]), v)
+        f = compile_disjunctions(DisjunctiveConstraints.from_sets([{0, 1}, {1, 2}]), len(v))
         assert f.step(0, 1) == 3
 
 
 class TestCompilePhrase:
     def test_two_word_phrase_has_three_states(self):
         v = Vocabulary.from_tokens(["billiard", "table", "pool"])
-        f = compile_phrase(PhraseConstraint.from_words(["billiard", "table"], v), v)
+        f = compile_phrase(PhraseConstraint.from_words(["billiard", "table"], v), len(v))
         assert f.num_states == 3
         assert f.recognizes(v.encode(["pool", "billiard", "table", "pool"]))
         assert not f.recognizes(v.encode(["billiard", "pool", "table"]))
@@ -102,12 +102,12 @@ class TestCompilePhrase:
     def test_state_count_is_length_plus_one(self, length):
         v = make_vocab(4)
         p = PhraseConstraint(tuple(i % 3 for i in range(length)))
-        assert compile_phrase(p, v).num_states == length + 1
+        assert compile_phrase(p, len(v)).num_states == length + 1
 
     def test_single_word_phrase_equals_singleton_disjunction(self):
         v = make_vocab(4)
-        phrase = compile_phrase(PhraseConstraint((1,)), v)
-        disj = compile_disjunctions(DisjunctiveConstraints.from_sets([{1}]), v)
+        phrase = compile_phrase(PhraseConstraint((1,)), len(v))
+        disj = compile_disjunctions(DisjunctiveConstraints.from_sets([{1}]), len(v))
         assert phrase.num_states == 2
         for seq in all_sequences(range(len(v)), 5):
             assert phrase.recognizes(seq) == disj.recognizes(seq)
@@ -117,7 +117,7 @@ class TestCompilePhrase:
         # two-long suffix "a a", not reset to the start
         v = Vocabulary.from_tokens(["a", "b"])
         a, b = v.id("a"), v.id("b")
-        f = compile_phrase(PhraseConstraint((a, a, b)), v)
+        f = compile_phrase(PhraseConstraint((a, a, b)), len(v))
         state = f.start
         for w in (a, a, a):
             state = f.step(state, w)
@@ -128,13 +128,13 @@ class TestCompilePhrase:
         v = Vocabulary.from_tokens(["a", "b"])
         a, b = v.id("a"), v.id("b")
         for phrase in [(a, b), (a, a, b), (b, a, b, a)]:
-            f = compile_phrase(PhraseConstraint(phrase), v)
+            f = compile_phrase(PhraseConstraint(phrase), len(v))
             for seq in all_sequences(range(len(v)), 6):
                 assert f.recognizes(seq) == contains_phrase(seq, phrase), (phrase, seq)
 
     def test_final_state_is_absorbing(self):
         v = make_vocab(4)
-        f = compile_phrase(PhraseConstraint((0, 1)), v)
+        f = compile_phrase(PhraseConstraint((0, 1)), len(v))
         final = f.num_states - 1
         assert all(f.step(final, w) == final for w in range(len(v)))
 
@@ -146,7 +146,7 @@ class TestCompilePhrase:
 class TestIntersect:
     def test_identity_with_trivial_machine(self):
         v = make_vocab(4)
-        f = compile_phrase(PhraseConstraint((0, 1)), v)
+        f = compile_phrase(PhraseConstraint((0, 1)), len(v))
         product = intersect(f, trivial_fsm(len(v)))
         for seq in all_sequences(range(len(v)), 5):
             assert product.recognizes(seq) == f.recognizes(seq)
@@ -155,8 +155,8 @@ class TestIntersect:
         v = Vocabulary.from_tokens(["a", "b", "c"])
         a, b, c = (v.id(x) for x in "abc")
         product = intersect(
-            compile_phrase(PhraseConstraint((a, b)), v),
-            compile_disjunctions(DisjunctiveConstraints.from_sets([{c}]), v),
+            compile_phrase(PhraseConstraint((a, b)), len(v)),
+            compile_disjunctions(DisjunctiveConstraints.from_sets([{c}]), len(v)),
         )
         assert product.recognizes((a, b, c))
         assert product.recognizes((c, a, b))
@@ -169,7 +169,7 @@ class TestIntersect:
         v = make_vocab(4)
         p1, p2 = (0,), (1,)
         product = intersect(
-            compile_phrase(PhraseConstraint(p1), v), compile_phrase(PhraseConstraint(p2), v)
+            compile_phrase(PhraseConstraint(p1), len(v)), compile_phrase(PhraseConstraint(p2), len(v))
         )
         for seq in all_sequences(range(len(v)), 5):
             expected = contains_phrase(seq, p1) and contains_phrase(seq, p2)
@@ -178,8 +178,8 @@ class TestIntersect:
     def test_language_is_conjunction(self, rng):
         v = make_vocab(5)
         sets = [{0, 3}, {1}]
-        fa = compile_disjunctions(DisjunctiveConstraints.from_sets(sets), v)
-        fb = compile_phrase(PhraseConstraint((3, 1)), v)
+        fa = compile_disjunctions(DisjunctiveConstraints.from_sets(sets), len(v))
+        fb = compile_phrase(PhraseConstraint((3, 1)), len(v))
         product = intersect(fa, fb)
         assert product.num_states <= fa.num_states * fb.num_states
         for seq in all_sequences(range(len(v)), 6):
@@ -192,18 +192,18 @@ class TestIntersect:
     def test_capacity_cap(self):
         v = make_vocab(12)
         fa = compile_disjunctions(
-            DisjunctiveConstraints.from_sets([{i} for i in range(8)]), v
+            DisjunctiveConstraints.from_sets([{i} for i in range(8)]), len(v)
         )
         fb = compile_disjunctions(
-            DisjunctiveConstraints.from_sets([{i} for i in range(8)]), v
+            DisjunctiveConstraints.from_sets([{i} for i in range(8)]), len(v)
         )
         with pytest.raises(CapacityError):
             intersect(fa, fb, max_states=100)
 
     def test_progress_sums_components(self):
         v = make_vocab(5)
-        fa = compile_disjunctions(DisjunctiveConstraints.from_sets([{0}, {1}]), v)
-        fb = compile_phrase(PhraseConstraint((2,)), v)
+        fa = compile_disjunctions(DisjunctiveConstraints.from_sets([{0}, {1}]), len(v))
+        fb = compile_phrase(PhraseConstraint((2,)), len(v))
         product = intersect(fa, fb)
         state = product.start
         for w in (0, 1, 2):
@@ -252,10 +252,10 @@ class TestStepAndRecognizes:
             data.draw(st.sets(ids, min_size=1, max_size=3)) for _ in range(num_sets)
         ]
         seq = tuple(data.draw(st.lists(ids, max_size=8)))
-        f = compile_disjunctions(DisjunctiveConstraints.from_sets(sets), v)
+        f = compile_disjunctions(DisjunctiveConstraints.from_sets(sets), len(v))
         assert f.recognizes(seq) == satisfies_disjunctions(seq, sets)
         phrase = tuple(data.draw(st.lists(ids, min_size=1, max_size=3)))
-        fp = compile_phrase(PhraseConstraint(phrase), v)
+        fp = compile_phrase(PhraseConstraint(phrase), len(v))
         assert fp.recognizes(seq) == contains_phrase(seq, phrase)
 
 
@@ -352,7 +352,7 @@ class TestDumpRoundTrip:
         v = chair_table_vocab
         f = intersect(
             chair_table_fsm(v),
-            compile_phrase(PhraseConstraint.from_words(["the", "chair"], v), v),
+            compile_phrase(PhraseConstraint.from_words(["the", "chair"], v), len(v)),
         )
         g = Fsm.from_dump(json.loads(json.dumps(f.dump())))
         assert g.num_states == f.num_states

@@ -108,7 +108,7 @@ class TestMacroF1:
 class TestSatisfactionRate:
     def test_accepted_results_all_satisfy(self, rng):
         v = make_vocab(6)
-        fsm = compile_disjunctions(DisjunctiveConstraints.from_sets([{0}]), v)
+        fsm = compile_disjunctions(DisjunctiveConstraints.from_sets([{0}]), len(v))
         results, machines = [], []
         for _ in range(20):
             m = random_ngram(rng, v)
@@ -122,7 +122,7 @@ class TestSatisfactionRate:
     def test_counts_recognition_not_status(self, rng):
         # unconstrained decodes judged against a nontrivial machine
         v = make_vocab(6)
-        target = compile_disjunctions(DisjunctiveConstraints.from_sets([{0}, {1}]), v)
+        target = compile_disjunctions(DisjunctiveConstraints.from_sets([{0}, {1}]), len(v))
         results = []
         expected_hits = 0
         for _ in range(25):

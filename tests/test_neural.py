@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -503,6 +507,20 @@ class TestBatchedStep:
             for state, w, got in zip(states, tokens, batch):
                 assert_same_bits(got, m.step(state, w)[0])
             states = batch
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bench_shape_bits_at_blas_thread_count(self, threads):
+        # OpenBLAS picks its kernel per thread count, which a process fixes
+        # when it loads numpy, so the property above runs again at bench
+        # shapes in a fresh interpreter per count
+        node = f"{Path(__file__).name}::TestBatchedStep::test_advance_rows_bit_identical_to_stepping_alone[bench]"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
+            cwd=Path(__file__).parent, env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
+        assert "1 passed" in run.stdout
 
     @pytest.mark.parametrize("d", [5, 300])
     @pytest.mark.parametrize("size, added", [(20, 5), (511, 3), (1024, 2), (5064, 64)])

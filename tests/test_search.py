@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbsdecode import (
     ConfigError,
@@ -30,6 +32,7 @@ from oracles import (
     filtered_argmax,
     greedy_decode,
     ngram_sequence_logprob,
+    reference_run_search,
     satisfies_disjunctions,
 )
 
@@ -179,7 +182,7 @@ def chair_table_setup():
         {v.id("chair"), v.id("chairs")},
         {v.id("desk"), v.id("table")},
     ]
-    fsm = compile_disjunctions(DisjunctiveConstraints.from_sets(sets), v)
+    fsm = compile_disjunctions(DisjunctiveConstraints.from_sets(sets), len(v))
     return v, scorer, sets, fsm
 
 
@@ -255,7 +258,7 @@ class TestConstrainedBeamSearch:
         for _ in range(10):
             m = random_ngram(rng, v, order=2)
             sets = [{int(rng.integers(0, len(v) - 1))}, {int(rng.integers(0, len(v) - 1))}]
-            fsm = compile_disjunctions(DisjunctiveConstraints.from_sets(sets), v)
+            fsm = compile_disjunctions(DisjunctiveConstraints.from_sets(sets), len(v))
             params = SearchParams(beam_size=64, max_len=6)
             result = constrained_beam_search(m, fsm, params)
             expected = filtered_argmax(
@@ -273,7 +276,7 @@ class TestConstrainedBeamSearch:
         for _ in range(10):
             m = random_ngram(rng, v)
             fsm = compile_disjunctions(
-                DisjunctiveConstraints.from_sets([{0}, {2, 3}]), v
+                DisjunctiveConstraints.from_sets([{0}, {2, 3}]), len(v)
             )
             result = constrained_beam_search(m, fsm, SearchParams(beam_size=5, max_len=8))
             if result.best is None:
@@ -284,7 +287,7 @@ class TestConstrainedBeamSearch:
     def test_fsm_state_is_fold_of_transition_function(self, rng):
         v = make_vocab(6)
         m = random_ngram(rng, v)
-        fsm = compile_disjunctions(DisjunctiveConstraints.from_sets([{0}, {1}]), v)
+        fsm = compile_disjunctions(DisjunctiveConstraints.from_sets([{0}, {1}]), len(v))
         beams, _ = _run_search(m, fsm, SearchParams(beam_size=4, max_len=6))
         for s, beam in enumerate(beams):
             for h in beam:
@@ -297,7 +300,7 @@ class TestConstrainedBeamSearch:
         v = make_vocab(5)
         m = random_ngram(rng, v)
         fsm = compile_disjunctions(
-            DisjunctiveConstraints.from_sets([{0}, {1}, {2}]), v
+            DisjunctiveConstraints.from_sets([{0}, {1}, {2}]), len(v)
         )
         beams, _ = _run_search(m, fsm, SearchParams(beam_size=3, max_len=6))
         assert len(beams) == fsm.num_states == 8
@@ -314,7 +317,7 @@ class TestConstrainedBeamSearch:
         v = make_vocab(6)
         corpus = [[0, v.eos], [0, 1, v.eos], [2, v.eos]]
         m = ngram_train(corpus, order=2, alpha=0.1, vocab=v)
-        fsm = compile_disjunctions(DisjunctiveConstraints.from_sets([{1}, {2}]), v)
+        fsm = compile_disjunctions(DisjunctiveConstraints.from_sets([{1}, {2}]), len(v))
         # one content token fits, so at most one constraint can be satisfied
         result = constrained_beam_search(m, fsm, SearchParams(beam_size=8, max_len=2))
         assert result.status == "fallback"
@@ -340,7 +343,7 @@ class TestConstrainedBeamSearch:
 
         scorer = UniformScorer(6, eos=5)
         fsm = compile_disjunctions(
-            DisjunctiveConstraints.from_sets([{2, 3}]), _SizedVocabLike(6)
+            DisjunctiveConstraints.from_sets([{2, 3}]), 6
         )
         # beam wide enough that ties cannot crowd out completions; both
         # (2, eos) and (3, eos) then tie and the lexicographic rule picks 2
@@ -351,21 +354,13 @@ class TestConstrainedBeamSearch:
     def test_repeated_runs_identical(self, rng):
         v = make_vocab(6)
         m = random_ngram(rng, v)
-        fsm = compile_disjunctions(DisjunctiveConstraints.from_sets([{0}, {1}]), v)
+        fsm = compile_disjunctions(DisjunctiveConstraints.from_sets([{0}, {1}]), len(v))
         params = SearchParams(beam_size=5, max_len=8)
         a = constrained_beam_search(m, fsm, params)
         b = constrained_beam_search(m, fsm, params)
         assert a.best.tokens == b.best.tokens
         assert a.best.logprob == b.best.logprob
         assert list(a.per_state_best) == list(b.per_state_best)
-
-
-class _SizedVocabLike:
-    def __init__(self, n):
-        self.n = n
-
-    def __len__(self):
-        return self.n
 
 
 class TestNoRepeatRule:
@@ -405,7 +400,7 @@ class TestMultiPhrase:
         p = PhraseConstraint((1, 2))
         params = SearchParams(beam_size=6, max_len=8)
         combined = decode_multi_phrase(m, [p], params)
-        direct = constrained_beam_search(m, compile_phrase(p, v), params)
+        direct = constrained_beam_search(m, compile_phrase(p, len(v)), params)
         assert combined.best.tokens == direct.best.tokens
         assert combined.best.logprob == direct.best.logprob
 
@@ -423,7 +418,7 @@ class TestMultiPhrase:
         params = SearchParams(beam_size=6, max_len=8)
         combined = decode_multi_phrase(m, phrases, params)
         runs = [
-            constrained_beam_search(m, compile_phrase(p, v), params) for p in phrases
+            constrained_beam_search(m, compile_phrase(p, len(v)), params) for p in phrases
         ]
         accepted = [r for r in runs if r.status == "accepted"]
         expected = max(accepted, key=lambda r: r.best.logprob)
@@ -454,7 +449,7 @@ class TestExhaustiveDecode:
         for _ in range(10):
             m = random_ngram(rng, v)
             sets = [{int(rng.integers(0, len(v) - 1))}]
-            fsm = compile_disjunctions(DisjunctiveConstraints.from_sets(sets), v)
+            fsm = compile_disjunctions(DisjunctiveConstraints.from_sets(sets), len(v))
             params = SearchParams(beam_size=5, max_len=5)
             ours = exhaustive_decode(m, fsm, params)
             ref = filtered_argmax(m, v.eos, 5, lambda s: satisfies_disjunctions(s, sets))
@@ -487,9 +482,9 @@ def test_neural_wide_beam_equals_exhaustive(seed, kind):
         fsm = trivial_fsm(size)
     elif kind == "disjunction":
         sets = [{words[0]}, {words[1], words[2]}]
-        fsm = compile_disjunctions(DisjunctiveConstraints.from_sets(sets), v)
+        fsm = compile_disjunctions(DisjunctiveConstraints.from_sets(sets), len(v))
     else:
-        fsm = compile_phrase(PhraseConstraint((words[0], words[1])), v)
+        fsm = compile_phrase(PhraseConstraint((words[0], words[1])), len(v))
     params = SearchParams(beam_size=size**4, max_len=4)
     cond = rng.normal(size=2)
     assert _outcome(constrained_beam_search(m, fsm, params, cond)) == _outcome(
@@ -509,16 +504,16 @@ class TestAcceptedImpliesRecognized:
                     set(rng.choice(others, size=rng.integers(1, 3), replace=False).tolist())
                     for _ in range(rng.integers(1, 3))
                 ]
-                fsm = compile_disjunctions(DisjunctiveConstraints.from_sets(sets), v)
+                fsm = compile_disjunctions(DisjunctiveConstraints.from_sets(sets), len(v))
             elif kind == 1:
                 phrase = tuple(rng.choice(others, size=rng.integers(1, 3)).tolist())
-                fsm = compile_phrase(PhraseConstraint(phrase), v)
+                fsm = compile_phrase(PhraseConstraint(phrase), len(v))
             else:
                 fsm = intersect(
                     compile_disjunctions(
-                        DisjunctiveConstraints.from_sets([{int(rng.choice(others))}]), v
+                        DisjunctiveConstraints.from_sets([{int(rng.choice(others))}]), len(v)
                     ),
-                    compile_phrase(PhraseConstraint((int(rng.choice(others)),)), v),
+                    compile_phrase(PhraseConstraint((int(rng.choice(others)),)), len(v)),
                 )
             result = constrained_beam_search(m, fsm, SearchParams(beam_size=5, max_len=8))
             if result.status == "accepted":
@@ -572,6 +567,100 @@ class TestExceptionGroups:
         assert result.best.logprob == expected.best.logprob
 
 
+    def test_per_route_truncation_under_a_rounding_tie(self):
+        # state 1 sends tokens 1, 2 and 3 to state 2. After the first token
+        # (logprob -40), tokens 2 and 3 have different raw scores but the
+        # same total: -40 + (-1 - 2**-50) rounds to -41.0. The exception
+        # route keeps its best two raw scores, tokens 1 and 3; one selection
+        # over totals would keep token 2 in place of 3, as the lower id.
+        first = np.array([-40.0, NEG_INF, NEG_INF, NEG_INF, NEG_INF, -50.0])
+        after = np.array([-3.0, -0.5, -1.0 - 2.0**-50, -1.0, -2.0, -2.5])
+        assert after[2] < after[3] and first[0] + after[2] == first[0] + after[3]
+        scorer = LastTokenScorer({None: first, 0: after}, after, eos=5)
+        fsm = Fsm(3, 0, {2}, 6, defaults=[0, 1, 2],
+                  rows=[dict.fromkeys(range(4), 1), dict.fromkeys(range(1, 4), 2), {}])
+        beams, steps = _run_search(scorer, fsm, SearchParams(beam_size=2, max_len=2))
+        # recorded with the per-candidate search loop this one replaced
+        assert steps == 2
+        assert [(h.tokens, h.logprob.hex()) for h in beams[2]] == [
+            ((0, 1), "-0x1.4400000000000p+5"), ((0, 3), "-0x1.4800000000000p+5")
+        ]
+
+
+def _beam_records(beams):
+    return [[(h.tokens, h.logprob.hex(), h.fsm_state, h.completed) for h in beam] for beam in beams]
+
+
+def _quantized_scorer(rng, size, eos):
+    """Rows keyed by the previous token over four score levels, one of them
+    -inf, so rows tie heavily; every row keeps one finite entry."""
+    def row():
+        logits = rng.choice([0.0, -1.0, -2.0, NEG_INF], size=size, p=[0.3, 0.3, 0.2, 0.2])
+        logits[rng.integers(size)] = 0.0
+        return _log_softmax(logits)
+    rows = {None: row()}
+    rows.update({w: row() for w in range(size) if rng.random() < 0.7})
+    return LastTokenScorer(rows, row(), eos=eos)
+
+
+def _random_machine(rng, kind, size):
+    """A machine over |V| = size; listed tokens may include end-of-sequence."""
+    def disjunction():
+        sets = [set(rng.choice(size, size=rng.integers(1, 4), replace=False).tolist())
+                for _ in range(rng.integers(1, 4))]
+        return compile_disjunctions(DisjunctiveConstraints.from_sets(sets), size)
+
+    def phrase():
+        return compile_phrase(PhraseConstraint(tuple(rng.choice(size - 1, size=rng.integers(1, 4)).tolist())), size)
+
+    if kind == "disjunction":
+        return disjunction()
+    if kind == "phrase":
+        return phrase()
+    product = intersect(disjunction(), phrase())
+    if kind == "product":
+        return product
+    if kind == "dump":  # every non-self-loop transition listed explicitly
+        return Fsm.from_dump(product.dump())
+    # listed entries that equal their state's default: two routes to one beam
+    rows = [dict(r) for r in product.rows]
+    for s, row in enumerate(rows):
+        for w in rng.choice(size, size=rng.integers(1, 3), replace=False).tolist():
+            row.setdefault(w, product.defaults[s])
+    return Fsm(product.num_states, product.start, product.accepting, size,
+               product.defaults, rows, product.progress)
+
+
+class TestArrayBeamEquivalence:
+    """The array search against the per-candidate reference loop kept in
+    `oracles.reference_run_search`: the same steps and, beam by beam, the
+    same hypotheses in the same order, to the last bit of the logprob."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(3, 8),
+        scorer_kind=st.sampled_from(["ngram", "quantized"]),
+        machine_kind=st.sampled_from(["disjunction", "phrase", "product", "dump", "listed-default"]),
+        beam=st.integers(1, 6),
+        no_repeat=st.booleans(),
+        max_len=st.integers(1, 7),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_loop(self, seed, size, scorer_kind, machine_kind, beam, no_repeat, max_len):
+        rng = np.random.default_rng(seed)
+        v = make_vocab(size)
+        if scorer_kind == "ngram":
+            scorer = random_ngram(rng, v, sentences=int(rng.integers(1, 12)))
+        else:
+            scorer = _quantized_scorer(rng, size, v.eos)
+        fsm = _random_machine(rng, machine_kind, size)
+        params = SearchParams(beam_size=beam, max_len=max_len, no_repeat=no_repeat)
+        got, steps = _run_search(scorer, fsm, params)
+        want, want_steps = reference_run_search(scorer, fsm, params)
+        assert steps == want_steps
+        assert _beam_records(got) == _beam_records(want)
+
+
 def _narrow_beam_instance(seed):
     rng = np.random.default_rng(seed)
     v = make_vocab(7)
@@ -580,8 +669,8 @@ def _narrow_beam_instance(seed):
     sets = [set(rng.choice(others, size=k, replace=False).tolist()) for k in (3, 2)]
     phrase = tuple(rng.choice(others, size=2, replace=False).tolist())
     fsm = intersect(
-        compile_disjunctions(DisjunctiveConstraints.from_sets(sets), v),
-        compile_phrase(PhraseConstraint(phrase), v),
+        compile_disjunctions(DisjunctiveConstraints.from_sets(sets), len(v)),
+        compile_phrase(PhraseConstraint(phrase), len(v)),
     )
     params = SearchParams(beam_size=2 + seed % 2, max_len=7, no_repeat=seed % 4 < 2)
     return m, fsm, params
