@@ -29,11 +29,10 @@ from .errors import (
     NumericError,
 )
 from .search import (
-    DecodeResult,
     SearchParams,
-    constrained_beam_search,
-    decode_multi_phrase,
+    decode_best,
     exhaustive_decode,
+    phrase_machines,
 )
 from .vocab import Vocabulary, tokenize  # noqa: F401  (tokenize is part of the CLI surface)
 
@@ -179,26 +178,14 @@ def _run_machine(spec, vocab: Vocabulary) -> fsm_mod.Fsm:
 _WORK: dict = {}
 
 
-def _decode_one_setup(scorer, vocab, spec, machine, params, per_state):
+def _decode_one_setup(scorer, vocab, machines, params, per_state):
     _WORK.update(
         scorer=scorer,
         vocab=vocab,
-        spec=spec,
-        machine=machine,
+        machines=machines,
         params=params,
         per_state=per_state,
     )
-
-
-def _run_one_decode(scorer, spec, machine, params, conditioning) -> DecodeResult:
-    if machine is None:  # --phrase-mode any: one run per phrase
-        base = None
-        if spec.disjunctions.disjunctions:
-            base = fsm_mod.compile_disjunctions(spec.disjunctions, scorer.vocab_size)
-        return decode_multi_phrase(
-            scorer, spec.phrases, params, conditioning, base_fsm=base
-        )
-    return constrained_beam_search(scorer, machine, params, conditioning)
 
 
 def _decode_one(task: tuple[int, dict]) -> tuple[int, str]:
@@ -206,9 +193,7 @@ def _decode_one(task: tuple[int, dict]) -> tuple[int, str]:
     conditioning = None
     if "features" in item:
         conditioning = np.asarray(item["features"], dtype=np.float64)
-    result = _run_one_decode(
-        _WORK["scorer"], _WORK["spec"], _WORK["machine"], _WORK["params"], conditioning
-    )
+    result = decode_best(_WORK["scorer"], _WORK["machines"], _WORK["params"], conditioning)
     line: dict = {"id": item.get("id", index)}
     line.update(result.to_dict(_WORK["vocab"], per_state=_WORK["per_state"]))
     return index, json.dumps(line)
@@ -274,9 +259,15 @@ def decode(
     tasks = list(enumerate(items))
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
-    per_phrase = phrase_mode == "any" and spec is not None and spec.phrases
-    machine = None if per_phrase else _run_machine(spec, vocab)
-    setup = (scorer, vocab, spec, machine, params, emit_per_state)
+    if phrase_mode == "any" and spec is not None and spec.phrases:
+        # one run per phrase, each within the spec's disjunctions
+        base = None
+        if spec.disjunctions.disjunctions:
+            base = fsm_mod.compile_disjunctions(spec.disjunctions, len(vocab))
+        machines = phrase_machines(spec.phrases, len(vocab), base)
+    else:
+        machines = [_run_machine(spec, vocab)]
+    setup = (scorer, vocab, machines, params, emit_per_state)
     if workers == 1 or len(tasks) == 1:
         _decode_one_setup(*setup)
         produced = [_decode_one(t) for t in tasks]

@@ -8,7 +8,8 @@ frozen input embedding columns, which is what makes test-time vocabulary
 expansion a pure column concatenation.
 
 Everything runs in 64-bit floats: forward pass, cross-entropy loss, analytic
-backpropagation-through-time gradients, and a plain-SGD toy trainer.
+backpropagation-through-time gradients over one padded (T x B) block per
+minibatch, and a plain-SGD toy trainer.
 """
 
 from __future__ import annotations
@@ -138,17 +139,19 @@ def _blocked(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _layer_sequence(p: LstmLayerParams, x: np.ndarray):
-    """Teacher-forced pass of one layer over a (T x K) input block. The input
-    projections of all T steps are one GEMM; only `w_h @ h` steps (Appleyard
+    """Teacher-forced pass of one layer over a (T x B x K) input block, B
+    sequences side by side. The input projections of all T*B steps are one
+    GEMM; each step is one (B x N) @ (N x 4N) GEMM over the batch (Appleyard
     et al. 2016, arXiv:1604.01946). Returns (H, C, TC, G): hidden states and
-    cells (T+1 x N, row 0 the zero initial state), tanh of the cells
-    (T x N) and the activated gates (T x 4N)."""
-    steps, k, n = len(x), p.input_size, p.hidden_size
-    g = x @ p.w[:, :k].T + p.b
-    w_h = p.w[:, k:]
-    h, c, tc = np.zeros((steps + 1, n)), np.zeros((steps + 1, n)), np.empty((steps, n))
+    cells (T+1 x B x N, row 0 the zero initial state), tanh of the cells
+    (T x B x N) and the activated gates (T x B x 4N)."""
+    (steps, batch, k), n = x.shape, p.hidden_size
+    g = (x.reshape(-1, k) @ p.w[:, :k].T + p.b).reshape(steps, batch, 4 * n)
+    w_h = p.w[:, k:].T
+    h, c = np.zeros((2, steps + 1, batch, n))
+    tc = np.empty((steps, batch, n))
     for t in range(steps):
-        g[t] += w_h @ h[t]
+        g[t] += h[t] @ w_h
         h[t + 1], c[t + 1], tc[t] = _gate_cell(g[t], c[t])
     if not (np.isfinite(h).all() and np.isfinite(c).all()):
         raise NumericError("non-finite lstm state")
@@ -156,29 +159,31 @@ def _layer_sequence(p: LstmLayerParams, x: np.ndarray):
 
 
 def _layer_backprop(p: LstmLayerParams, x, h, c, tc, g, dh_out, grads, prefix: str):
-    """BPTT through one `_layer_sequence` pass, given dloss/dh_t (T x N) from
-    above. The reverse loop only fills row t of the stacked gate delta dZ;
-    the weight and bias gradients are then one GEMM and one sum. Returns
-    dZ (T x 4N)."""
+    """BPTT through one `_layer_sequence` pass, given dloss/dh_t (T x B x N)
+    from above. The reverse loop only fills step t of the stacked gate delta
+    dZ; the weight and bias gradients are then one GEMM over the T*B rows and
+    one sum. Steps with zero dloss/dh from there on get exactly zero deltas,
+    so padding after a sequence adds nothing. Returns dZ (T*B x 4N)."""
     k, n = p.input_size, p.hidden_size
-    # row t of dZ is [dc, dc, dh, dc] * mult[t], elementwise, where dc and dh
+    # step t of dZ is [dc, dc, dh, dc] * mult[t], elementwise, where dc and dh
     # carry the recurrence and mult[t] is fixed by the forward pass
-    mult = np.hstack([g[:, 3 * n :], c[:-1], tc, g[:, :n]])
-    mult[:, : 3 * n] *= g[:, : 3 * n] * (1.0 - g[:, : 3 * n])
-    mult[:, 3 * n :] *= 1.0 - g[:, 3 * n :] ** 2
-    dc_from_h = g[:, 2 * n : 3 * n] * (1.0 - tc * tc)
-    forget = g[:, n : 2 * n]
+    mult = np.concatenate([g[..., 3 * n :], c[:-1], tc, g[..., :n]], axis=-1)
+    mult[..., : 3 * n] *= g[..., : 3 * n] * (1.0 - g[..., : 3 * n])
+    mult[..., 3 * n :] *= 1.0 - g[..., 3 * n :] ** 2
+    dc_from_h = g[..., 2 * n : 3 * n] * (1.0 - tc * tc)
+    forget = g[..., n : 2 * n]
     w_h = p.w[:, k:]
     dz = np.empty_like(g)
-    dh_next = dc = np.zeros(n)
+    dh_next = dc = np.zeros(dh_out.shape[1:])
     for t in reversed(range(len(x))):
         dh = dh_out[t] + dh_next
         dc = dc + dh * dc_from_h[t]
-        dz[t] = np.concatenate([dc, dc, dh, dc]) * mult[t]
+        dz[t] = np.concatenate([dc, dc, dh, dc], axis=-1) * mult[t]
         dh_next = dz[t] @ w_h
         dc = dc * forget[t]
-    grads[f"{prefix}.w"] += dz.T @ np.hstack([x, h[:-1]])
-    grads[f"{prefix}.b"] += dz.sum(axis=0)
+    dz = dz.reshape(-1, 4 * n)
+    grads[f"{prefix}.w"] = dz.T @ np.concatenate([x, h[:-1]], axis=-1).reshape(-1, k + n)
+    grads[f"{prefix}.b"] = dz.sum(axis=0)
     return dz
 
 
@@ -305,7 +310,7 @@ class CaptionModel(Scorer):
     # forward pass
 
     def _output_logits(self, v: np.ndarray) -> np.ndarray:
-        # teacher-forced tied output layer: one (T x D) @ (D x |V|) GEMM
+        # teacher-forced tied output layer: one (R x D) @ (D x |V|) GEMM over the real steps
         return v @ self.w_e
 
     def _tied_logits(self, h2: np.ndarray) -> np.ndarray:
@@ -364,50 +369,55 @@ class CaptionModel(Scorer):
     def _advance(self, state: _NeuralState, token: int) -> _NeuralState:
         return self._advance_all([state], [token])[0]
 
-    def _unrolled(self, seq: Sequence[int], conditioning):
-        """Teacher-forced pass over the whole sequence: the input at step t is
-        the ground-truth token t-1 (start column at t=0). Every token, the
-        last target included, must be a vocabulary id. Returns the ids, the
-        (T x |V|) log-probabilities and the forward values that
-        `_sequence_gradients` reads."""
-        if len(seq) == 0:
-            raise DataError("cannot score an empty sequence")
-        ids = np.asarray(seq, dtype=np.intp)
+    def _unrolled(self, batch: Sequence[tuple[Sequence[int], np.ndarray | None]]):
+        """Teacher-forced pass over (sequence, conditioning) pairs, all checked
+        first, padded at the end to one (T x B) block: the input at step t is
+        the ground-truth token t-1 (start column at t=0). Only the R real steps,
+        (t, b) in order, reach the output layer. Returns the per-sequence mean
+        losses, the (T x B) mask of real steps, their targets, exp of their
+        max-shifted logits (R x |V|), its row sums and the forward values."""
+        if not batch or not all(len(seq) for seq, _ in batch):
+            raise DataError("cannot score an empty batch or sequence")
+        seqs = [np.asarray(seq, dtype=np.intp) for seq, _ in batch]
+        ids = np.concatenate(seqs)
         bad = ids[(ids < 0) | (ids >= self.vocab_size)]
         if bad.size:
             raise ContractError(f"token id {bad[0]} out of range for |V|={self.vocab_size}")
-        cond = self._check_conditioning(conditioning)
-        x1 = np.vstack([self.start_embedding, self.w_e[:, ids[:-1]].T])
+        conds = [self._check_conditioning(conditioning) for _, conditioning in batch]
+        lengths = np.array([len(seq) for seq in seqs])
+        real = np.arange(lengths.max())[:, None] < lengths
+        tokens = np.zeros(real.shape, dtype=np.intp)
+        tokens.T[real.T] = ids  # sequence b down column b, then token 0
+        start = np.broadcast_to(self.start_embedding, (1, len(batch), self.embed_dim))
+        x1 = np.concatenate([start, self.w_e.T[tokens[:-1]]])
         if not np.isfinite(x1).all():
             raise NumericError("non-finite lstm input")
         l1 = _layer_sequence(self.layer1, x1)
-        x2 = np.hstack([l1[0][1:], np.broadcast_to(cond, (len(ids), len(cond)))])
+        cond = np.broadcast_to(conds, (*real.shape, self.cond_dim))
+        x2 = np.concatenate([l1[0][1:], cond], axis=-1)
         l2 = _layer_sequence(self.layer2, x2)
-        v = np.tanh(l2[0][1:] @ self.w_v.T + self.b_v)
-        logp = log_softmax(self._output_logits(v))
-        if not np.isfinite(logp).all():
+        h2 = l2[0][1:][real]
+        v = np.tanh(h2 @ self.w_v.T + self.b_v)
+        # the normaliser in place: shift by the row max, exponentiate, sum
+        e = self._output_logits(v)
+        e -= e.max(axis=1, keepdims=True)
+        if not np.isfinite(e.min()):
             raise NumericError("model emitted a non-finite log distribution")
-        return ids, logp, (x1, l1, x2, l2, v)
+        targets = tokens[real]
+        picked = e[np.arange(len(targets)), targets]
+        np.exp(e, out=e)
+        sums = e.sum(axis=1)
+        losses = np.bincount(np.nonzero(real)[1], weights=np.log(sums) - picked) / lengths
+        return losses, real, targets, e, sums, (x1, l1, x2, l2, h2, v)
+
+    def batch_losses(self, batch: Sequence[tuple[Sequence[int], np.ndarray | None]]) -> np.ndarray:
+        """Per-sequence mean over timesteps of the negative log probability of
+        the next ground-truth token (softmax cross-entropy, teacher forcing)."""
+        return self._unrolled(batch)[0]
 
     def sequence_loss(self, seq: Sequence[int], conditioning=None) -> float:
-        """Mean over timesteps of the negative log probability of the next
-        ground-truth token (softmax cross-entropy, teacher forcing)."""
-        ids, logp, _ = self._unrolled(seq, conditioning)
-        return -float(logp[np.arange(len(ids)), ids].mean())
-
-    def _sequence_gradients(self, seq, conditioning, grads) -> float:
-        ids, logp, (x1, l1, x2, l2, v) = self._unrolled(seq, conditioning)
-        rows = np.arange(len(ids))
-        dlogits = np.exp(logp)
-        dlogits[rows, ids] -= 1.0
-        dlogits /= len(ids)
-        da = (dlogits @ self.w_e.T) * (1.0 - v * v)
-        grads["w_v"] += da.T @ l2[0][1:]
-        grads["b_v"] += da.sum(axis=0)
-        dz2 = _layer_backprop(self.layer2, x2, *l2, da @ self.w_v, grads, "layer2")
-        dh1 = dz2 @ self.layer2.w[:, : self.hidden_size]
-        _layer_backprop(self.layer1, x1, *l1, dh1, grads, "layer1")
-        return -float(logp[rows, ids].mean())
+        """`batch_losses` of one sequence."""
+        return float(self.batch_losses([(seq, conditioning)])[0])
 
     def gradients(self, batch: Sequence[tuple[Sequence[int], np.ndarray | None]]):
         """Analytic BPTT gradients of the mean sequence loss over the batch,
@@ -415,18 +425,22 @@ class CaptionModel(Scorer):
 
         The frozen embedding matrix has no gradient by construction.
         """
-        if not batch:
-            raise DataError("empty gradient batch")
-        grads = {name: np.zeros_like(arr) for name, arr in self.trainable().items()}
-        total = 0.0
-        for seq, conditioning in batch:
-            total += self._sequence_gradients(seq, conditioning, grads)
-        scale = 1.0 / len(batch)
+        losses, real, targets, dlogits, sums, (x1, l1, x2, l2, h2, v) = self._unrolled(batch)
+        # softmax minus one-hot, each row weighted 1 / (len(seq) * len(batch))
+        weight = 1.0 / (real.sum(axis=0) * len(batch))[np.nonzero(real)[1]]
+        dlogits *= (weight / sums)[:, None]
+        dlogits[np.arange(len(targets)), targets] -= weight
+        da = (dlogits @ self.w_e.T) * (1.0 - v * v)
+        grads = {"w_v": da.T @ h2, "b_v": da.sum(axis=0)}
+        dh2 = np.zeros((*real.shape, self.layer2.hidden_size))
+        dh2[real] = da @ self.w_v
+        dz2 = _layer_backprop(self.layer2, x2, *l2, dh2, grads, "layer2")
+        dh1 = (dz2 @ self.layer2.w[:, : self.hidden_size]).reshape(*real.shape, self.hidden_size)
+        _layer_backprop(self.layer1, x1, *l1, dh1, grads, "layer1")
         for name, g in grads.items():
-            g *= scale
             if not np.isfinite(g).all():
                 raise NumericError(f"non-finite gradient for parameter {name}")
-        return grads, total * scale
+        return grads, float(losses.mean())
 
     # vocabulary expansion support (driven by the embeddings module)
 
@@ -482,7 +496,8 @@ def train(
     seed: int = 0,
     log_every: int | None = None,
 ) -> TrainReport:
-    """Plain SGD on BPTT gradients, in place. The embedding matrix is never
+    """Plain SGD on BPTT gradients, in place; each loss pass runs `batch_losses`
+    over the corpus in `batch_size` chunks. The embedding matrix is never
     updated. Deterministic for a fixed seed: shuffling is the only stochastic
     choice and it flows from one seeded generator."""
     if not corpus:
@@ -494,9 +509,9 @@ def train(
     params = m.trainable()
 
     def mean_loss() -> float:
-        return float(
-            np.mean([m.sequence_loss(seq, cond) for seq, cond in corpus])
-        )
+        chunks = range(0, len(corpus), batch_size)
+        losses = [m.batch_losses(corpus[lo : lo + batch_size]) for lo in chunks]
+        return float(np.mean(np.concatenate(losses)))
 
     losses = [mean_loss()]
     for epoch in range(epochs):

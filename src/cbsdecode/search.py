@@ -334,6 +334,34 @@ def beam_search(
     return result.best
 
 
+def phrase_machines(
+    phrases: Sequence[PhraseConstraint], vocab_size: int, base_fsm: Fsm | None = None
+) -> list[Fsm]:
+    """One machine per phrase, each intersected with `base_fsm` when given
+    (used to combine disjunctive constraints with the per-phrase protocol)."""
+    if not phrases:
+        raise ConstraintError("per-phrase decoding needs at least one phrase")
+    machines = [compile_phrase(p, vocab_size) for p in phrases]
+    return machines if base_fsm is None else [intersect(base_fsm, m) for m in machines]
+
+
+def decode_best(
+    scorer: Scorer,
+    machines: Sequence[Fsm],
+    params: SearchParams,
+    conditioning: np.ndarray | None = None,
+) -> DecodeResult:
+    """Run one constrained decode per machine and keep the accepted result
+    with the highest log probability; fall back to the best fallback when no
+    run accepts. One machine gives its own decode."""
+    results = [constrained_beam_search(scorer, m, params, conditioning) for m in machines]
+    for status in (ACCEPTED, FALLBACK):
+        pool = [r for r in results if r.status == status]
+        if pool:
+            return min(pool, key=lambda r: r.best.sort_key())
+    return results[0]
+
+
 def decode_multi_phrase(
     scorer: Scorer,
     phrases: Sequence[PhraseConstraint],
@@ -341,24 +369,10 @@ def decode_multi_phrase(
     conditioning: np.ndarray | None = None,
     base_fsm: Fsm | None = None,
 ) -> DecodeResult:
-    """Run one constrained decode per phrase and keep the accepted result with
-    the highest log probability; fall back to the best fallback when no run
-    accepts. `base_fsm`, when given, is intersected into every per-phrase
-    machine (used to combine disjunctive constraints with the per-phrase
-    protocol)."""
-    if not phrases:
-        raise ConstraintError("decode_multi_phrase needs at least one phrase")
-    results: list[DecodeResult] = []
-    for p in phrases:
-        machine = compile_phrase(p, scorer.vocab_size)
-        if base_fsm is not None:
-            machine = intersect(base_fsm, machine)
-        results.append(constrained_beam_search(scorer, machine, params, conditioning))
-    for status in (ACCEPTED, FALLBACK):
-        pool = [r for r in results if r.status == status]
-        if pool:
-            return min(pool, key=lambda r: r.best.sort_key())
-    return results[0]
+    """`decode_best` over the `phrase_machines` of `phrases`: the best
+    accepted run of one decode per phrase."""
+    machines = phrase_machines(phrases, scorer.vocab_size, base_fsm)
+    return decode_best(scorer, machines, params, conditioning)
 
 
 def exhaustive_decode(

@@ -171,6 +171,31 @@ class TestDecode:
         assert len(out.read_text().splitlines()) == 5
         assert len(calls) == 1
 
+    def test_phrase_mode_any_compiles_each_phrase_once_per_run(self, workdir, monkeypatch):
+        from cbsdecode import fsm, search
+
+        calls = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a: calls.append(name) or original(*a))
+
+        for module, name in ((fsm, "compile_phrase"), (search, "compile_phrase"),
+                             (fsm, "compile_disjunctions")):
+            counted(module, name)
+        spec = workdir / "two-phrases.json"
+        spec.write_text(json.dumps(
+            {"disjunctions": [["chair", "table"]], "phrases": [["a", "man"], ["the", "bus"]]}
+        ))
+        inputs = workdir / "five-any.jsonl"
+        inputs.write_text("".join(json.dumps({"id": i}) + "\n" for i in range(5)))
+        out = self.run_decode(
+            workdir, "once-any.jsonl", "--inputs", str(inputs), "--constraints", str(spec),
+            "--phrase-mode", "any", "--max-len", "6",
+        )
+        assert len(out.splitlines()) == 5
+        assert sorted(calls) == ["compile_disjunctions", "compile_phrase", "compile_phrase"]
+
     def test_oracle_agrees_with_wide_beam(self, workdir):
         oracle_out = workdir / "oracle.jsonl"
         code = main(

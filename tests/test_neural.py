@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbsdecode import (
@@ -18,6 +18,7 @@ from cbsdecode import (
     beam_search,
     SearchParams,
 )
+from cbsdecode import neural
 from cbsdecode.neural import (
     CHECKPOINT_FORMAT,
     GATES,
@@ -387,6 +388,105 @@ class TestTrain:
         corpus = self.make_corpus(v, rng, n=6)
         report = train(m, corpus, lr=lambda epoch: 0.5 / (1 + epoch), epochs=4, seed=0)
         assert len(report.losses) == 5
+
+
+BATCH_EOS = 6
+
+
+def batch_model():
+    """The fixed tiny model of the batched-pass property: |V| = 7, D = 5, N = 3, C = 2."""
+    return tiny_model(np.random.default_rng(41), vocab_size=7, embed_dim=5)[1]
+
+
+def assert_grads_close(got, want):
+    assert set(got) == set(want)
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], atol=1e-12, rtol=0, err_msg=name)
+
+
+_pairs = st.tuples(
+    st.lists(st.integers(0, BATCH_EOS - 1), max_size=11).map(lambda s: s + [BATCH_EOS]),
+    st.one_of(
+        st.none(),
+        st.lists(st.floats(-2, 2), min_size=2, max_size=2).map(np.array),
+    ),
+)
+
+
+class TestBatchedPass:
+    """`gradients` and `batch_losses` pad a batch to one (T x B) block; the
+    result must be the one-sequence-at-a-time result, up to summation order."""
+
+    @given(batch=st.lists(_pairs, min_size=1, max_size=9))
+    @example(batch=[([BATCH_EOS], None)])
+    @example(batch=[([1, 2, 3, BATCH_EOS], np.array([0.5, -1.0])), ([BATCH_EOS], None)])
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_one_sequence_at_a_time(self, batch):
+        m = batch_model()
+        grads, loss = m.gradients(batch)
+        singles = [m.gradients([pair]) for pair in batch]
+        assert_grads_close(
+            grads, {name: np.mean([g[name] for g, _ in singles], axis=0) for name in grads}
+        )
+        losses = m.batch_losses(batch)
+        assert losses.shape == (len(batch),)
+        for got, pair in zip(losses, batch):
+            assert abs(got - m.sequence_loss(*pair)) <= 1e-12
+        assert abs(loss - np.mean(losses)) <= 1e-12
+
+    def test_padding_does_not_leak_into_a_short_sequence(self, rng):
+        v, m = tiny_model(rng)
+        short = ([2, v.eos], rng.normal(size=2))
+        long = ([1, 3, 0, 2, 1, 3, 0, v.eos], None)
+        alone = m.sequence_loss(*short)
+        g_short, g_long = m.gradients([short])[0], m.gradients([long])[0]
+        mean = {name: (g_short[name] + g_long[name]) / 2 for name in g_short}
+        for batch, at in (([short, long], 0), ([long, short], 1)):
+            assert abs(m.batch_losses(batch)[at] - alone) <= 1e-12
+            assert_grads_close(m.gradients(batch)[0], mean)
+
+    @pytest.fixture
+    def forward_calls(self, monkeypatch):
+        calls = []
+        layer_sequence = neural._layer_sequence
+        monkeypatch.setattr(
+            neural, "_layer_sequence", lambda *a: calls.append(a) or layer_sequence(*a)
+        )
+        return calls
+
+    @pytest.mark.parametrize("call", ["batch_losses", "gradients"])
+    @pytest.mark.parametrize("bad", [-1, "|V|"])
+    def test_out_of_range_token_in_a_later_sequence(self, rng, forward_calls, call, bad):
+        v, m = tiny_model(rng)
+        bad = len(v) if bad == "|V|" else bad
+        batch = [([0, 1, v.eos], None), ([2, v.eos], None), ([1, bad, v.eos], None)]
+        with pytest.raises(ContractError, match=f"token id {bad} "):
+            getattr(m, call)(batch)
+        assert forward_calls == []
+
+    @pytest.mark.parametrize("call", ["batch_losses", "gradients"])
+    @pytest.mark.parametrize("defect", ["empty sequence", "conditioning shape"])
+    def test_bad_sequence_in_the_middle(self, rng, forward_calls, call, defect):
+        v, m = tiny_model(rng)
+        middle = ([], None) if defect == "empty sequence" else ([1, v.eos], np.zeros(3))
+        batch = [([0, 1, v.eos], rng.normal(size=2)), middle, ([2, v.eos], None)]
+        with pytest.raises(DataError):
+            getattr(m, call)(batch)
+        assert forward_calls == []
+
+    def test_non_finite_weight_raises_from_batch_losses(self, rng):
+        v, m = tiny_model(rng)
+        m.layer2.w[1, 2] = np.nan
+        with pytest.raises(NumericError):
+            m.batch_losses([([0, 1, v.eos], None), ([2, v.eos], rng.normal(size=2))])
+
+    def test_bad_last_sequence_raises_from_the_initial_loss_pass(self, rng):
+        v, m = tiny_model(rng)
+        corpus = [([0, 2, 1, v.eos], None), ([3, v.eos], None)] * 4 + [([1, len(v), v.eos], None)]
+        before = {name: a.tobytes() for name, a in m.trainable().items()}
+        with pytest.raises(ContractError, match=f"token id {len(v)} "):
+            train(m, corpus, lr=0.5, epochs=2, batch_size=4, seed=0)
+        assert {name: a.tobytes() for name, a in m.trainable().items()} == before
 
 
 class TestCheckpoint:
