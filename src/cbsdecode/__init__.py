@@ -38,7 +38,6 @@ from .neural import (
     CaptionModel,
     LstmLayerParams,
     load_checkpoint,
-    lstm_step,
     save_checkpoint,
     train,
 )
@@ -57,7 +56,6 @@ from .search import (
     SearchParams,
     beam_search,
     constrained_beam_search,
-    decode_multi_phrase,
     exhaustive_decode,
 )
 from .vocab import Vocabulary, tokenize
@@ -98,7 +96,6 @@ __all__ = [
     "compile_phrase",
     "compile_spec",
     "constrained_beam_search",
-    "decode_multi_phrase",
     "exhaustive_decode",
     "expand_lemmas",
     "expand_vocab",
@@ -108,7 +105,6 @@ __all__ = [
     "load_constraint_spec",
     "load_corpus",
     "load_embeddings",
-    "lstm_step",
     "macro_f1",
     "nearest_neighbors",
     "ngram_train",

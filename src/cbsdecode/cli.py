@@ -130,7 +130,9 @@ def _list_field(path: str, lineno: int, obj: dict, name: str, kinds: tuple[type,
     return value
 
 
-def _read_inputs(path: str | None) -> list[dict]:
+def _read_inputs(path: str | None, scorer: scorers.Scorer) -> list[dict]:
+    """Every input line, all parsed first; then one warning when the scorer
+    takes no conditioning and some lines carry `features` it ignores."""
     if path is None:
         return [{"id": 0}]
     inputs = []
@@ -140,6 +142,12 @@ def _read_inputs(path: str | None) -> list[dict]:
         inputs.append(obj)
     if not inputs:
         raise DataError(f"input file {path} is empty")
+    ignored = sum("features" in obj for obj in inputs)
+    if ignored and not isinstance(scorer, neural.CaptionModel):
+        logger.warning(
+            "%d input lines of %s carry features, which the %s scorer ignores",
+            ignored, path, type(scorer).__name__,
+        )
     return inputs
 
 
@@ -255,7 +263,7 @@ def decode(
     scorer, vocab = _resolve_scorer(scorer_kind, model)
     spec = _load_spec(constraints, lemmas, vocab)
     params = SearchParams(beam_size=beam, max_len=max_len, no_repeat=no_repeat)
-    items = _read_inputs(inputs)
+    items = _read_inputs(inputs, scorer)
     tasks = list(enumerate(items))
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
@@ -297,7 +305,7 @@ def oracle(scorer_kind, model, inputs, constraints, lemmas, max_len, no_repeat, 
     machine = _run_machine(_load_spec(constraints, lemmas, vocab), vocab)
     params = SearchParams(max_len=max_len, no_repeat=no_repeat)
     lines = []
-    for index, item in enumerate(_read_inputs(inputs)):
+    for index, item in enumerate(_read_inputs(inputs, scorer)):
         conditioning = None
         if "features" in item:
             conditioning = np.asarray(item["features"], dtype=np.float64)

@@ -99,22 +99,6 @@ class LstmLayerParams:
         return cls(w, b)
 
 
-def lstm_step(
-    p: LstmLayerParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM update: gates from sigmoid/tanh of affine maps of (x, h_prev),
-    then c = f*c_prev + i*g and h = o*tanh(c). Pure."""
-    if x.shape != (p.input_size,) or h_prev.shape != (p.hidden_size,):
-        raise DataError(
-            f"lstm input shapes {x.shape}/{h_prev.shape} do not match "
-            f"layer (N={p.hidden_size}, K={p.input_size})"
-        )
-    if not (np.isfinite(x).all() and np.isfinite(h_prev).all() and np.isfinite(c_prev).all()):
-        raise NumericError("non-finite lstm input")
-    h, c, _ = _gate_cell(p.w @ np.concatenate([x, h_prev]) + p.b, c_prev)
-    return h, c
-
-
 def _gate_cell(z: np.ndarray, c_prev: np.ndarray):
     """The LSTM nonlinearity on pre-activations z (..., 4N), last-axis blocks
     in GATES order. Activates z in place, so z then holds the gates
@@ -185,15 +169,6 @@ def _layer_backprop(p: LstmLayerParams, x, h, c, tc, g, dh_out, grads, prefix: s
     grads[f"{prefix}.w"] = dz.T @ np.concatenate([x, h[:-1]], axis=-1).reshape(-1, k + n)
     grads[f"{prefix}.b"] = dz.sum(axis=0)
     return dz
-
-
-class _NeuralState(DecodeState):
-    __slots__ = ("h1", "c1", "h2", "c2", "cond")
-
-    def __init__(self, owner, log_probs, h1, c1, h2, c2, cond):
-        super().__init__(owner, log_probs)
-        self.h1, self.c1, self.h2, self.c2 = h1, c1, h2, c2
-        self.cond = cond
 
 
 class CaptionModel(Scorer):
@@ -327,14 +302,15 @@ class CaptionModel(Scorer):
             logits[:, lo : lo + TILE] = _blocked(v, tile)
         return logits[:, :cols]
 
-    def output_logits(self, state: "_NeuralState") -> np.ndarray:
-        """Raw tied-output logits pending at `state` (pre-softmax), bit-equal
-        to the ones behind its `log_probs`."""
-        return self._tied_logits(state.h2[None])[0]
+    def output_logits(self, state: DecodeState) -> np.ndarray:
+        """Raw tied-output logits (B x |V|) pending at the rows of `state`
+        (pre-softmax), bit-equal to the ones behind its `log_probs`."""
+        return self._tied_logits(state.rows[2])
 
-    def _step_rows(self, x, h1, c1, h2, c2, cond) -> list["_NeuralState"]:
-        """The decode step of B hypotheses, given their rows as (B x .) arrays;
-        one state per row, whose bits depend neither on B nor on its place."""
+    def _step_rows(self, x, h1, c1, h2, c2, cond) -> DecodeState:
+        """The decode step of B hypotheses, given their inputs x and rows
+        (h1, c1, h2, c2, cond) as (B x .) arrays; each row's bits depend
+        neither on B nor on its place."""
         z1 = _blocked(np.hstack([x, h1]), self.layer1.w.T) + self.layer1.b
         h1, c1, _ = _gate_cell(z1, c1)
         z2 = _blocked(np.hstack([h1, cond, h2]), self.layer2.w.T) + self.layer2.b
@@ -342,12 +318,13 @@ class CaptionModel(Scorer):
         logp = log_softmax(self._tied_logits(h2))
         if not np.isfinite(logp).all():
             raise NumericError("model emitted a non-finite log distribution")
-        return [_NeuralState(self, *row) for row in zip(logp, h1, c1, h2, c2, cond)]
+        logp.flags.writeable = False
+        return DecodeState(self, list(logp), (h1, c1, h2, c2, cond))
 
     def _check_conditioning(self, conditioning) -> np.ndarray:
         if conditioning is None:
             return np.zeros(self.cond_dim)
-        cond = np.asarray(conditioning, dtype=np.float64)
+        cond = np.array(conditioning, dtype=np.float64)  # a copy: states keep it
         if cond.shape != (self.cond_dim,):
             raise DataError(
                 f"conditioning vector has shape {cond.shape}, expected ({self.cond_dim},)"
@@ -356,18 +333,13 @@ class CaptionModel(Scorer):
             raise DataError("conditioning vector contains non-finite values")
         return cond
 
-    def initial_state(self, conditioning=None) -> _NeuralState:
+    def initial_state(self, conditioning=None) -> DecodeState:
         cond = self._check_conditioning(conditioning)
         z = np.zeros((1, self.hidden_size))
-        (state,) = self._step_rows(self.start_embedding[None], z, z, z, z, cond[None])
-        return state
+        return self._step_rows(self.start_embedding[None], z, z, z, z, cond[None])
 
-    def _advance_all(self, states, tokens) -> list[_NeuralState]:
-        rows = zip(*((s.h1, s.c1, s.h2, s.c2, s.cond) for s in states))
-        return self._step_rows(self.w_e[:, tokens].T, *(np.array(r) for r in rows))
-
-    def _advance(self, state: _NeuralState, token: int) -> _NeuralState:
-        return self._advance_all([state], [token])[0]
+    def _advance(self, state: DecodeState, tokens) -> DecodeState:
+        return self._step_rows(self.w_e[:, tokens].T, *state.rows)
 
     def _unrolled(self, batch: Sequence[tuple[Sequence[int], np.ndarray | None]]):
         """Teacher-forced pass over (sequence, conditioning) pairs, all checked

@@ -1,15 +1,15 @@
 """Sequence-scorer contract and count-based reference scorers.
 
-A scorer exposes a stepwise conditional next-token log distribution with
-cheaply cloneable decode state. Decode states are immutable values: the
-state returned by `initial_state` already carries the pending distribution
-over the first token, and `advance` returns fresh states carrying the
-distribution over the following one.
+A scorer exposes a stepwise conditional next-token log distribution over a
+batch of decode states. A `DecodeState` is an immutable batch of B rows: the
+batch returned by `initial_state` has one row, which already carries the
+pending distribution over the first token, and `advance(state, parents,
+tokens)` returns a fresh batch whose row i follows row parents[i] after
+consuming tokens[i].
 """
 
 from __future__ import annotations
 
-import copy
 import json
 from abc import ABC, abstractmethod
 from collections import Counter
@@ -28,19 +28,26 @@ NGRAM_VERSION = 1
 
 
 class DecodeState:
-    """Per-hypothesis scorer state. `log_probs` is the natural-log
-    distribution over the NEXT token given everything consumed so far."""
+    """A batch of B decode states. `log_probs[i]` is the read-only natural-log
+    distribution over the NEXT token of row i; `rows` holds the owner's own
+    (B x .) arrays, gathered together by `take`."""
 
-    __slots__ = ("owner", "log_probs")
+    __slots__ = ("owner", "log_probs", "rows")
 
-    def __init__(self, owner: "Scorer", log_probs: np.ndarray):
+    def __init__(self, owner: "Scorer", log_probs: Sequence[np.ndarray], rows: tuple = ()):
         self.owner = owner
         self.log_probs = log_probs
+        self.rows = rows
 
-    def clone(self) -> "DecodeState":
-        """Shallow copy; cost independent of the prefix length. States are
-        immutable values, so clones share their arrays."""
-        return copy.copy(self)
+    def __len__(self) -> int:
+        return len(self.log_probs)
+
+    def take(self, parents: Sequence[int]) -> "DecodeState":
+        """The batch of rows parents[0], parents[1], ...; it shares every
+        distribution row with this batch."""
+        idx = np.asarray(parents, dtype=np.intp)
+        lp = self.log_probs
+        return DecodeState(self.owner, [lp[i] for i in idx.tolist()], tuple(r[idx] for r in self.rows))
 
 
 class Scorer(ABC):
@@ -56,34 +63,41 @@ class Scorer(ABC):
         """Token id of the end-of-sequence marker."""
 
     @abstractmethod
-    def initial_state(self, conditioning: np.ndarray | None = None) -> DecodeState: ...
+    def initial_state(self, conditioning: np.ndarray | None = None) -> DecodeState:
+        """The 1-row batch before any token."""
 
     @abstractmethod
-    def _advance(self, state: DecodeState, token: int) -> DecodeState: ...
+    def _advance(self, state: DecodeState, tokens: np.ndarray) -> DecodeState:
+        """The batch after row i of `state` consumes tokens[i], for a
+        non-empty, validated batch."""
 
-    def _advance_all(self, states: Sequence[DecodeState], tokens: Sequence[int]) -> list[DecodeState]:
-        """Batch hook behind `advance` (validated, non-empty): loops `_advance`."""
-        return [self._advance(s, w) for s, w in zip(states, tokens)]
-
-    def advance(self, states: Sequence[DecodeState], tokens: Sequence[int]) -> list[DecodeState]:
-        """The next state after consuming tokens[i] in states[i], for each i in
-        order; a state's successor depends only on (state, token), never on
-        the rest of the batch. Validates every argument before advancing."""
-        if len(states) != len(tokens):
-            raise ContractError(f"{len(states)} decode states for {len(tokens)} tokens")
+    def advance(self, state: DecodeState, parents: Sequence[int], tokens: Sequence[int]) -> DecodeState:
+        """The batch whose row i follows row parents[i] of `state` after
+        consuming tokens[i]. Row i depends only on that row and token, never
+        on the rest of the batch. Checks every argument before advancing."""
+        if not isinstance(state, DecodeState) or state.owner is not self:
+            raise ContractError("decode state does not belong to this scorer")
+        parents = np.asarray(parents, dtype=np.intp)
+        tokens = np.asarray(tokens, dtype=np.intp)
+        if parents.ndim != 1 or parents.shape != tokens.shape:
+            raise ContractError(f"{parents.size} parents for {tokens.size} tokens")
+        bad = parents[(parents < 0) | (parents >= len(state))]
+        if bad.size:
+            raise ContractError(f"parent {bad[0]} out of range for {len(state)} decode states")
         v = self.vocab_size
-        for state, token in zip(states, tokens):
-            if not isinstance(state, DecodeState) or state.owner is not self:
-                raise ContractError("decode state does not belong to this scorer")
-            if not 0 <= token < v:
-                raise ContractError(f"token id {token} out of range for |V|={v}")
-        return self._advance_all(states, tokens) if states else []
+        bad = tokens[(tokens < 0) | (tokens >= v)]
+        if bad.size:
+            raise ContractError(f"token id {bad[0]} out of range for |V|={v}")
+        gathered = state.take(parents)
+        return self._advance(gathered, tokens) if tokens.size else gathered
 
     def step(self, state: DecodeState, token: int) -> tuple[DecodeState, np.ndarray]:
-        """One-state form of `advance`: the next state and the log
+        """One-row form of `advance`: the next 1-row batch and its log
         distribution over the following token."""
-        (nxt,) = self.advance([state], [token])
-        return nxt, nxt.log_probs
+        if isinstance(state, DecodeState) and len(state) != 1:
+            raise ContractError(f"step takes a 1-row decode state, got {len(state)} rows")
+        nxt = self.advance(state, [0], [token])
+        return nxt, nxt.log_probs[0]
 
 
 def sequence_logprob(
@@ -93,7 +107,7 @@ def sequence_logprob(
     state = scorer.initial_state(conditioning)
     total = 0.0
     for w in tokens:
-        total += float(state.log_probs[w])
+        total += float(state.log_probs[0][w])
         state, _ = scorer.step(state, w)
     return total
 
@@ -110,7 +124,7 @@ class UniformScorer(Scorer):
             raise DataError(f"eos id {eos} out of range")
         self._log_probs = np.full(vocab_size, -np.log(vocab_size))
         self._log_probs.flags.writeable = False
-        self._state = DecodeState(self, self._log_probs)
+        self._state = DecodeState(self, [self._log_probs])
 
     @property
     def vocab_size(self) -> int:
@@ -123,16 +137,8 @@ class UniformScorer(Scorer):
     def initial_state(self, conditioning=None) -> DecodeState:
         return self._state
 
-    def _advance(self, state: DecodeState, token: int) -> DecodeState:
-        return self._state
-
-
-class _NGramState(DecodeState):
-    __slots__ = ("context",)
-
-    def __init__(self, owner, log_probs, context: tuple[int, ...]):
-        super().__init__(owner, log_probs)
-        self.context = context
+    def _advance(self, state: DecodeState, tokens) -> DecodeState:
+        return state  # every row holds the same distribution and nothing else
 
 
 class NGramModel(Scorer):
@@ -203,13 +209,17 @@ class NGramModel(Scorer):
             self._row_cache[ctx] = row
         return row
 
-    def initial_state(self, conditioning=None) -> _NGramState:
-        ctx = (START,) * (self.order - 1)
-        return _NGramState(self, self._log_row(ctx), ctx)
+    # decode state: rows = ((B x k-1) context array,); log_probs[i] is the
+    # cached `_log_row` of row i's context, shared, never copied
 
-    def _advance(self, state: _NGramState, token: int) -> _NGramState:
-        ctx = self._normalize_context(state.context + (token,))
-        return _NGramState(self, self._log_row(ctx), ctx)
+    def initial_state(self, conditioning=None) -> DecodeState:
+        ctx = (START,) * (self.order - 1)
+        return DecodeState(self, [self._log_row(ctx)], (np.array([ctx], dtype=np.intp),))
+
+    def _advance(self, state: DecodeState, tokens) -> DecodeState:
+        (ctx,) = state.rows
+        ctx = np.concatenate([ctx, tokens[:, None]], axis=1)[:, 1:]
+        return DecodeState(self, [self._log_row(c) for c in map(tuple, ctx.tolist())], (ctx,))
 
     # persistence: JSON dump of counts + alpha + vocabulary
 

@@ -161,9 +161,9 @@ def _run_search(
     k = min(v, b + 1 + max(len(row) for row in fsm.rows))
     tops: dict = {}  # id(row) -> _top_entries(row, k, table)
 
-    # live hypotheses: decode states, and parallel arrays of FSM state,
-    # logprob, tokens (one row each) and rank in lexicographic order
-    states = [scorer.initial_state(conditioning)]
+    # live hypotheses: one decode-state batch, and parallel arrays of FSM
+    # state, logprob, tokens (one row each) and rank in lexicographic order
+    states = scorer.initial_state(conditioning)
     fsm_state = np.array([fsm.start])
     logprob = np.zeros(1)
     tokens = np.zeros((1, 0), dtype=np.int64)
@@ -183,8 +183,7 @@ def _run_search(
         slot_of: dict[int, int] = {}
         rows: list[tuple] = []
         slot = []
-        for state in states:
-            row = state.log_probs
+        for row in states.log_probs:
             i = slot_of.get(id(row))
             if i is None:
                 i = slot_of[id(row)] = len(rows)
@@ -248,7 +247,7 @@ def _run_search(
         # one scorer call
         grow = c[~fin]
         parents = par[grow]
-        states = scorer.advance([states[i] for i in parents.tolist()], w[grow].tolist())
+        states = scorer.advance(states, parents, w[grow])
         fsm_state, logprob = d[grow], lp[grow]
         tokens = np.concatenate([tokens[parents], w[grow, None]], axis=1)
         rank = np.empty(grow.shape[0], dtype=np.int64)
@@ -362,19 +361,6 @@ def decode_best(
     return results[0]
 
 
-def decode_multi_phrase(
-    scorer: Scorer,
-    phrases: Sequence[PhraseConstraint],
-    params: SearchParams,
-    conditioning: np.ndarray | None = None,
-    base_fsm: Fsm | None = None,
-) -> DecodeResult:
-    """`decode_best` over the `phrase_machines` of `phrases`: the best
-    accepted run of one decode per phrase."""
-    machines = phrase_machines(phrases, scorer.vocab_size, base_fsm)
-    return decode_best(scorer, machines, params, conditioning)
-
-
 def exhaustive_decode(
     scorer: Scorer,
     fsm: Fsm,
@@ -415,7 +401,7 @@ def exhaustive_decode(
 
     def visit(decode_state, fsm_state: int, tokens: tuple[int, ...], logprob: float):
         depth = len(tokens)
-        logdist = decode_state.log_probs
+        logdist = decode_state.log_probs[0]
         last = tokens[-1] if tokens else None
         children = []  # (token, fsm state, logprob) of every non-EOS extension
         for w in range(v):
@@ -429,9 +415,9 @@ def exhaustive_decode(
                 consider(tokens + (w,), lp, nxt)
             elif depth + 1 < params.max_len:
                 children.append((w, nxt, lp))
-        states = scorer.advance([decode_state] * len(children), [w for w, _, _ in children])
-        for (w, nxt, lp), child in zip(children, states):
-            visit(child, nxt, tokens + (w,), lp)
+        states = scorer.advance(decode_state, [0] * len(children), [w for w, _, _ in children])
+        for i, (w, nxt, lp) in enumerate(children):
+            visit(states.take([i]), nxt, tokens + (w,), lp)
 
     visit(scorer.initial_state(conditioning), fsm.start, (), 0.0)
     return _result_from_per_state(best_per_state, fsm)

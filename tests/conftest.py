@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from cbsdecode import Vocabulary, ngram_train
+from cbsdecode import DecodeState, Vocabulary, ngram_train
 
 
 def make_vocab(size: int) -> Vocabulary:
@@ -25,6 +25,13 @@ def random_ngram(rng: np.random.Generator, vocab: Vocabulary, order: int = 2,
         length = int(rng.integers(1, max_words + 1))
         corpus.append([int(rng.choice(others)) for _ in range(length)] + [vocab.eos])
     return ngram_train(corpus, order=order, alpha=alpha, vocab=vocab)
+
+
+def stack_states(states) -> DecodeState:
+    """One batch holding the rows of `states` in order (all of one scorer)."""
+    rows = zip(*(s.rows for s in states))
+    return DecodeState(states[0].owner, [lp for s in states for lp in s.log_probs],
+                       tuple(np.concatenate(r) for r in rows))
 
 
 @pytest.fixture

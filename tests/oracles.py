@@ -4,7 +4,7 @@ Nothing here reuses the package's decoding or automaton paths: constraint
 checks are direct set-membership and substring scans, sequence scores are
 chain-rule sums of individually queried conditionals, and the argmax is a
 full enumeration. The reference search loop at the end reads a machine's
-`defaults` and `rows` directly and steps the scorer through `advance`.
+`defaults` and `rows` directly and steps each hypothesis alone with `step`.
 """
 
 import itertools
@@ -77,7 +77,7 @@ def greedy_decode(scorer, max_len, no_repeat=True, conditioning=None):
     tokens: list[int] = []
     total = 0.0
     for _ in range(max_len):
-        dist = state.log_probs.copy()
+        dist = state.log_probs[0].copy()
         if no_repeat and tokens:
             dist[tokens[-1]] = -math.inf
         w = int(dist.argmax())
@@ -159,7 +159,7 @@ def reference_run_search(scorer, fsm, params, conditioning=None):
         steps += 1
         candidates = {}
         for s, h in live:
-            logdist = h.scorer_state.log_probs
+            logdist = h.scorer_state.log_probs[0]
             repeat = h.tokens[-1] if params.no_repeat and h.tokens else None
             new_len = len(h.tokens) + 1
             routes = [(fsm.defaults[s], _ordered_prefix(row_cache, logdist, prefix_len), fsm.rows[s])]
@@ -194,9 +194,8 @@ def reference_run_search(scorer, fsm, params, conditioning=None):
                     kept.append(RefHypothesis(toks, -neg_lp, s, scorer_state=parent.scorer_state))
                     grown.append(kept[-1])
             new_beams.append(kept)
-        states = scorer.advance([h.scorer_state for h in grown], [h.tokens[-1] for h in grown])
-        for h, state in zip(grown, states):
-            h.scorer_state = state
+        for h in grown:
+            h.scorer_state, _ = scorer.step(h.scorer_state, h.tokens[-1])
         beams = new_beams
 
         done = [h.logprob for s in fsm.accepting for h in beams[s] if h.completed]

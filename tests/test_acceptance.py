@@ -19,7 +19,6 @@ from cbsdecode import (
     compile_disjunctions,
     compile_phrase,
     constrained_beam_search,
-    decode_multi_phrase,
     expand_vocab,
     f1_mentions,
     intersect,
@@ -29,6 +28,7 @@ from cbsdecode import (
 )
 from cbsdecode.cli import main
 from cbsdecode.neural import CaptionModel, train
+from cbsdecode.search import decode_best, phrase_machines
 from conftest import make_vocab, random_ngram
 from oracles import (
     all_sequences,
@@ -249,7 +249,7 @@ def test_criterion_06_neural_numerics():
         total_params += checked
         state = model.initial_state(cond)
         for w in seq:
-            assert abs(np.exp(state.log_probs).sum() - 1.0) < DIST_TOL
+            assert abs(np.exp(state.log_probs[0]).sum() - 1.0) < DIST_TOL
             state, _ = model.step(state, w)
     assert worst_rel < GRAD_REL_TOL
 
@@ -334,7 +334,7 @@ def test_criterion_08_vocabulary_expansion(toy_training):
     assert new_ids == [old_size, old_size + 1, old_size + 2]
 
     def logits_of(model, state):
-        return model.output_logits(state)
+        return model.output_logits(state)[0]
 
     # (a) pre-existing logits bit-identical along shared trajectories
     # (b) pre-existing argmax preserved at every step of 50 random prefixes
@@ -348,9 +348,9 @@ def test_criterion_08_vocabulary_expansion(toy_training):
         for w in prefix + [None]:
             assert np.array_equal(logits_of(expanded, s_new)[:old_size],
                                   logits_of(base, s_old))
-            old_argmax = int(np.argmax(s_old.log_probs))
-            assert int(np.argmax(s_new.log_probs[:old_size])) == old_argmax
-            full_argmax = int(np.argmax(s_new.log_probs))
+            old_argmax = int(np.argmax(s_old.log_probs[0]))
+            assert int(np.argmax(s_new.log_probs[0][:old_size])) == old_argmax
+            full_argmax = int(np.argmax(s_new.log_probs[0]))
             if full_argmax != old_argmax:
                 assert full_argmax >= old_size
                 new_word_won += 1
@@ -417,7 +417,7 @@ def test_criterion_10_multi_phrase_protocol():
         PhraseConstraint.from_words(["snooker", "table"], v),
     ]
     params = SearchParams(beam_size=6, max_len=8)
-    combined = decode_multi_phrase(scorer, phrases, params)
+    combined = decode_best(scorer, phrase_machines(phrases, len(v)), params)
     runs = [constrained_beam_search(scorer, compile_phrase(p, len(v)), params) for p in phrases]
     accepted = [r for r in runs if r.status == "accepted"]
     assert accepted

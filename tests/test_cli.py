@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import jsonschema
@@ -388,6 +389,27 @@ class TestTrainAndExpand:
              "--epochs", "1", "--out", str(tmp_path / "x.npz")]
         )
         assert code == 66
+
+
+@pytest.mark.parametrize("scorer", ["ngram", "uniform"])
+@pytest.mark.parametrize("command", ["decode", "oracle"])
+def test_ignored_features_warn_once_per_run(workdir, tmp_path, caplog, capsys, command, scorer):
+    lines = [{"id": 0, "features": [0.5]}, {"id": 1}, {"id": 2, "features": [1.0, -2.0]}]
+    with_features = tmp_path / "features.jsonl"
+    with_features.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    plain = tmp_path / "plain.jsonl"
+    plain.write_text("".join(json.dumps({"id": obj["id"]}) + "\n" for obj in lines))
+    stdout, warnings = [], []
+    for inputs in (with_features, plain):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="cbsdecode.cli"):
+            assert main([command, "--scorer", scorer, "--model", str(workdir / "model.json"),
+                         "--inputs", str(inputs), "--max-len", "4"]) == 0
+        stdout.append(capsys.readouterr().out)
+        warnings.append([r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING])
+    assert stdout[0] == stdout[1] and len(stdout[0].splitlines()) == 3
+    assert len(warnings[0]) == 1 and warnings[0][0].startswith("2 input lines ")
+    assert "features" in warnings[0][0] and warnings[1] == []
 
 
 class TestMultiPhraseFlag:

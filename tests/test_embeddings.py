@@ -107,7 +107,7 @@ class TestExpandVocab:
         cond = rng.normal(size=2)
         state = m2.initial_state(cond)
         for w in (0, 1, 3):
-            assert m2.output_logits(state)[new_id] == 0.0
+            assert m2.output_logits(state)[0, new_id] == 0.0
             state, _ = m2.step(state, w)
 
     def test_existing_logits_bit_identical_and_probs_scaled(self, rng):
@@ -118,11 +118,11 @@ class TestExpandVocab:
         state_old = m.initial_state(cond)
         state_new = m2.initial_state(cond)
         for w in (1, 0, 3):
-            old_logits = m.output_logits(state_old)
-            new_logits = m2.output_logits(state_new)
+            old_logits = m.output_logits(state_old)[0]
+            new_logits = m2.output_logits(state_new)[0]
             assert np.array_equal(new_logits[: len(v)], old_logits)
             # all pre-existing probabilities shrink by one common factor
-            ratios = np.exp(state_new.log_probs[: len(v)] - state_old.log_probs)
+            ratios = np.exp(state_new.log_probs[0][: len(v)] - state_old.log_probs[0])
             np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
             assert ratios[0] < 1.0
             state_old, _ = m.step(state_old, w)
@@ -156,8 +156,8 @@ class TestExpandVocab:
         ba, _ = expand_vocab(ba, "u", vec_u)
         cond = rng.normal(size=2)
         sa, sb = ab.initial_state(cond), ba.initial_state(cond)
-        logits_ab = ab.output_logits(sa)
-        logits_ba = ba.output_logits(sb)
+        logits_ab = ab.output_logits(sa)[0]
+        logits_ba = ba.output_logits(sb)[0]
         np.testing.assert_array_equal(logits_ab[: len(v)], logits_ba[: len(v)])
 
     def test_constrained_decode_with_new_word(self, rng):

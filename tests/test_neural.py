@@ -25,19 +25,19 @@ from cbsdecode.neural import (
     ROWS,
     CaptionModel,
     LstmLayerParams,
+    _gate_cell,
     _sigmoid,
     load_checkpoint,
-    lstm_step,
     save_checkpoint,
     train,
 )
-from conftest import make_vocab
+from conftest import make_vocab, stack_states
 from test_scorers import scorer_contract_checks
 
 
 def reference_lstm(p, x, h_prev, c_prev):
     """Straight-from-the-gate-equations evaluator, coded independently with
-    scalar loops; the oracle for lstm_step."""
+    scalar loops; the oracle for `_gate_cell`."""
     n, k = p.hidden_size, p.input_size
     # gate row blocks i, f, o, c; input columns first, then recurrent
     w_xi, w_xf, w_xo, w_xc = (p.w[r * n:(r + 1) * n, :k] for r in range(4))
@@ -94,17 +94,23 @@ def finite_difference_check(m, seq, cond, eps=1e-5, floor=1e-6):
     return worst
 
 
+def lstm_cell(p, x, h_prev, c_prev):
+    """One LSTM update through `_gate_cell`: (h, c)."""
+    h, c, _ = _gate_cell(p.w @ np.concatenate([x, h_prev]) + p.b, c_prev)
+    return h, c
+
+
 class TestLstmStep:
     def test_all_zero_inputs(self):
         p = LstmLayerParams.build(4, 3, rng=None, init_scale=0.0, forget_bias=0.0)
-        h, c = lstm_step(p, np.zeros(3), np.zeros(4), np.zeros(4))
+        h, c = lstm_cell(p, np.zeros(3), np.zeros(4), np.zeros(4))
         np.testing.assert_array_equal(c, 0.0)
         np.testing.assert_array_equal(h, 0.0)
 
     def test_saturated_forget_gate_preserves_cell(self):
         p = LstmLayerParams.build(4, 3, rng=None, init_scale=0.0, forget_bias=50.0)
         c_prev = np.array([0.3, -0.2, 0.9, 0.0])
-        h, c = lstm_step(p, np.zeros(3), np.zeros(4), c_prev)
+        h, c = lstm_cell(p, np.zeros(3), np.zeros(4), c_prev)
         np.testing.assert_allclose(c, c_prev, atol=1e-12)
 
     def test_matches_independent_evaluator(self, rng):
@@ -113,7 +119,7 @@ class TestLstmStep:
             x = rng.normal(size=3)
             h_prev = np.tanh(rng.normal(size=4))
             c_prev = rng.normal(size=4)
-            h, c = lstm_step(p, x, h_prev, c_prev)
+            h, c = lstm_cell(p, x, h_prev, c_prev)
             h_ref, c_ref = reference_lstm(p, x, h_prev, c_prev)
             np.testing.assert_allclose(h, h_ref, atol=1e-12, rtol=0)
             np.testing.assert_allclose(c, c_ref, atol=1e-12, rtol=0)
@@ -123,19 +129,9 @@ class TestLstmStep:
         h = np.zeros(6)
         c = np.zeros(6)
         for _ in range(10):
-            h, c = lstm_step(p, rng.normal(size=4) * 3, h, c)
+            h, c = lstm_cell(p, rng.normal(size=4) * 3, h, c)
             assert np.all(np.abs(h) < 1.0)
             assert np.all(np.isfinite(c))
-
-    def test_dimension_mismatch(self):
-        p = LstmLayerParams.build(4, 3)
-        with pytest.raises(DataError):
-            lstm_step(p, np.zeros(5), np.zeros(4), np.zeros(4))
-
-    def test_non_finite_input(self):
-        p = LstmLayerParams.build(2, 2)
-        with pytest.raises(NumericError):
-            lstm_step(p, np.array([np.nan, 0.0]), np.zeros(2), np.zeros(2))
 
 
 def test_sigmoid_bits_equal_two_branch_formula():
@@ -176,7 +172,7 @@ class TestForwardStep:
         w_e = np.random.default_rng(0).normal(size=(5, 6))
         m = CaptionModel.build(v, w_e, 3, 2, rng=None, init_scale=0.0, forget_bias=0.0)
         state = m.initial_state()
-        np.testing.assert_allclose(state.log_probs, math.log(1 / 6), atol=1e-12)
+        np.testing.assert_allclose(state.log_probs[0], math.log(1 / 6), atol=1e-12)
 
     def test_identical_embedding_columns_get_identical_logits(self, rng):
         v = make_vocab(5)
@@ -185,7 +181,7 @@ class TestForwardStep:
         m = CaptionModel.build(v, w_e, 3, 2, rng=rng)
         state = m.initial_state(rng.normal(size=2))
         for w in (0, 2, 1):
-            assert state.log_probs[3] == state.log_probs[1]
+            assert state.log_probs[0][3] == state.log_probs[0][1]
             state, _ = m.step(state, w)
 
     def test_distribution_sums_and_unrolled_agreement(self, rng):
@@ -195,8 +191,8 @@ class TestForwardStep:
         state = m.initial_state(cond)
         stepped = 0.0
         for w in seq:
-            assert abs(np.exp(state.log_probs).sum() - 1.0) < 1e-6
-            stepped += float(state.log_probs[w])
+            assert abs(np.exp(state.log_probs[0]).sum() - 1.0) < 1e-6
+            stepped += float(state.log_probs[0][w])
             state, _ = m.step(state, w)
         unrolled = -m.sequence_loss(seq, cond) * len(seq)
         assert stepped == pytest.approx(unrolled, abs=1e-10)
@@ -204,6 +200,14 @@ class TestForwardStep:
     def test_scorer_contract(self, rng):
         v, m = tiny_model(rng)
         scorer_contract_checks(m, conditioning=np.zeros(2), tol=1e-6)
+
+    def test_state_keeps_its_own_conditioning(self, rng):
+        v, m = tiny_model(rng)
+        cond = rng.normal(size=2)
+        state = m.initial_state(cond)
+        before = m.step(state, 1)[1].tobytes()
+        cond[:] = 5.0
+        assert m.step(state, 1)[1].tobytes() == before
 
     def test_bad_conditioning(self, rng):
         v, m = tiny_model(rng)
@@ -240,7 +244,7 @@ class TestSequenceLoss:
         state = m.initial_state(cond)
         contribs = []
         for w in seq:
-            contribs.append(float(state.log_probs[w]))
+            contribs.append(float(state.log_probs[0][w]))
             state, _ = m.step(state, w)
         assert m.sequence_loss(seq, cond) == pytest.approx(
             -np.mean(contribs), abs=1e-12
@@ -259,7 +263,7 @@ class TestSequenceLoss:
         state = m.initial_state(cond)
         contribs = []
         for w in seq:
-            contribs.append(float(state.log_probs[w]))
+            contribs.append(float(state.log_probs[0][w]))
             state, _ = m.step(state, w)
         assert m.sequence_loss(seq, cond) == pytest.approx(-np.mean(contribs), abs=1e-12)
 
@@ -380,7 +384,7 @@ class TestTrain:
         report = train(m, corpus, lr=0.5, epochs=5, seed=0)
         assert report.final < report.initial
         assert report.final == pytest.approx(
-            np.mean([-m.initial_state(c).log_probs[v.eos] for _, c in corpus]), abs=1e-12
+            np.mean([-m.initial_state(c).log_probs[0][v.eos] for _, c in corpus]), abs=1e-12
         )
 
     def test_callable_learning_rate(self, rng):
@@ -501,7 +505,7 @@ class TestCheckpoint:
             np.testing.assert_array_equal(m2.trainable()[k], a)
         cond = np.array([0.1, -0.4])
         s1, s2 = m.initial_state(cond), m2.initial_state(cond)
-        np.testing.assert_array_equal(s1.log_probs, s2.log_probs)
+        np.testing.assert_array_equal(s1.log_probs[0], s2.log_probs[0])
 
     def test_v1_per_gate_checkpoint_loads_bit_identically(self, rng, tmp_path):
         v, m = tiny_model(rng)
@@ -522,7 +526,7 @@ class TestCheckpoint:
         np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
         m2 = load_checkpoint(path)
         cond = np.array([0.3, -0.7])
-        assert m2.initial_state(cond).log_probs.tobytes() == m.initial_state(cond).log_probs.tobytes()
+        assert m2.initial_state(cond).log_probs[0].tobytes() == m.initial_state(cond).log_probs[0].tobytes()
 
     @pytest.mark.parametrize(
         "defect", ["version 0", "version 3", "no array layer2.w", "no meta vocab"]
@@ -585,8 +589,13 @@ def shaped_model(request):
 
 
 def assert_same_bits(got, want, fields=STATE_ARRAYS):
+    """Equal bits in the named arrays of two 1-row states."""
+    def arrays(state):
+        return dict(zip(STATE_ARRAYS, (state.log_probs[0], *state.rows)))
+
+    got, want = arrays(got), arrays(want)
     for name in fields:
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestBatchedStep:
@@ -600,12 +609,12 @@ class TestBatchedStep:
     def test_advance_rows_bit_identical_to_stepping_alone(self, shaped_model, b, seed):
         m = shaped_model
         rng = np.random.default_rng(seed)
-        states = [m.initial_state(rng.normal(size=m.cond_dim)) for _ in range(b)]
+        states = stack_states([m.initial_state(rng.normal(size=m.cond_dim)) for _ in range(b)])
         for _ in range(2):
             tokens = rng.integers(0, m.vocab_size, size=b).tolist()
-            batch = m.advance(states, tokens)
-            for state, w, got in zip(states, tokens, batch):
-                assert_same_bits(got, m.step(state, w)[0])
+            batch = m.advance(states, range(b), tokens)
+            for i, w in enumerate(tokens):
+                assert_same_bits(batch.take([i]), m.step(states.take([i]), w)[0])
             states = batch
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -631,11 +640,12 @@ class TestBatchedStep:
             [f"new{i}" for i in range(added)], rng.normal(size=(added, d))
         )
         cond = rng.normal(size=2)
-        old, new = [m.initial_state(cond)], [big.initial_state(cond)]
+        old, new = m.initial_state(cond), big.initial_state(cond)
         for _ in range(3):
-            for s_old, s_new in zip(old, new):
-                assert big.output_logits(s_new)[:size].tobytes() == m.output_logits(s_old).tobytes()
+            for s_old, s_new in ((old.take([i]), new.take([i])) for i in range(len(old))):
+                assert big.output_logits(s_new)[0, :size].tobytes() == m.output_logits(s_old)[0].tobytes()
                 assert_same_bits(s_new, s_old, ("h1", "c1", "h2", "c2"))
             tokens = rng.integers(0, size - 1, size=len(old) + ROWS // 2 + 1).tolist()
-            old = m.advance([old[i % len(old)] for i in range(len(tokens))], tokens)
-            new = big.advance([new[i % len(new)] for i in range(len(tokens))], tokens)
+            parents = [i % len(old) for i in range(len(tokens))]
+            old = m.advance(old, parents, tokens)
+            new = big.advance(new, parents, tokens)

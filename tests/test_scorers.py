@@ -17,20 +17,20 @@ from cbsdecode import (
     ngram_train,
     sequence_logprob,
 )
-from conftest import make_vocab, random_ngram
+from conftest import make_vocab, random_ngram, stack_states
 from oracles import ngram_sequence_logprob
 
 
 def scorer_contract_checks(scorer, conditioning=None, tol=1e-6, steps=5, rng=None):
-    """Shared conformance suite: normalization, purity, clone behavior."""
+    """Shared conformance suite: normalization, purity, copy behavior."""
     rng = rng or np.random.default_rng(0)
     state = scorer.initial_state(conditioning)
     for _ in range(steps):
-        probs = np.exp(state.log_probs)
+        probs = np.exp(state.log_probs[0])
         assert abs(probs.sum() - 1.0) < tol
         w = int(rng.integers(0, scorer.vocab_size))
         again_state, again_dist = scorer.step(state, w)
-        clone = state.clone()
+        clone = state.take([0])
         clone_next, clone_dist = scorer.step(clone, w)
         np.testing.assert_array_equal(again_dist, clone_dist)
         repeat_state, repeat_dist = scorer.step(state, w)
@@ -42,8 +42,8 @@ class TestUniformScorer:
     def test_every_entry_is_log_inverse_size(self):
         s = UniformScorer(4)
         state = s.initial_state()
-        np.testing.assert_allclose(state.log_probs, math.log(0.25), rtol=0, atol=1e-12)
-        assert state.log_probs.shape == (4,)
+        np.testing.assert_allclose(state.log_probs[0], math.log(0.25), rtol=0, atol=1e-12)
+        assert state.log_probs[0].shape == (4,)
 
     def test_contract(self):
         scorer_contract_checks(UniformScorer(7), tol=1e-12)
@@ -67,7 +67,7 @@ class TestNGramTraining:
         v = make_vocab(4)
         m = ngram_train([[0, 1, v.eos]], order=2, alpha=1e9, vocab=v)
         state = m.initial_state()
-        np.testing.assert_allclose(state.log_probs, math.log(1 / 4), atol=1e-8)
+        np.testing.assert_allclose(state.log_probs[0], math.log(1 / 4), atol=1e-8)
 
     def test_every_distribution_sums_to_one(self, rng):
         v = make_vocab(6)
@@ -176,26 +176,32 @@ class TestAdvance:
         return batch_scorer(request.param, rng)
 
     def test_empty_batch(self, scorer):
-        assert scorer.advance([], []) == []
+        state = scorer.advance(scorer.initial_state(), [0, 0], [1, 2])
+        empty = scorer.advance(state, [], [])
+        assert len(empty) == 0 and empty.owner is scorer
+        assert all(len(r) == 0 for r in empty.rows)
 
-    @pytest.mark.parametrize("defect", ["foreign state", "token -1", "token |V|", "length"])
+    @pytest.mark.parametrize(
+        "defect", ["foreign state", "token -1", "token |V|", "length", "parent -1", "parent B"]
+    )
     def test_bad_argument_raises_before_any_state_advances(self, scorer, defect, monkeypatch):
-        states = [scorer.initial_state()] * 3
+        state = scorer.advance(scorer.initial_state(), [0, 0, 0], [0, 1, 2])
+        parents = [2, 0, 1]
         tokens = [0, 1, 2]
         if defect == "foreign state":
-            states[-1] = UniformScorer(scorer.vocab_size).initial_state()
+            state = UniformScorer(scorer.vocab_size).initial_state()
+            parents = [0, 0, 0]
         elif defect == "length":
             tokens.pop()
+        elif defect.startswith("parent"):
+            parents[-1] = -1 if defect == "parent -1" else len(state)
         else:
             tokens[-1] = -1 if defect == "token -1" else scorer.vocab_size
         calls = []
-        for hook in ("_advance", "_advance_all"):
-            original = getattr(scorer, hook)
-            monkeypatch.setattr(
-                scorer, hook, lambda *args, _f=original: calls.append(args) or _f(*args)
-            )
+        original = scorer._advance
+        monkeypatch.setattr(scorer, "_advance", lambda *args: calls.append(args) or original(*args))
         with pytest.raises(ContractError):
-            scorer.advance(states, tokens)
+            scorer.advance(state, parents, tokens)
         assert calls == []
 
     def test_equals_a_loop_of_step(self, scorer, rng):
@@ -203,8 +209,49 @@ class TestAdvance:
         for w in (0, 2, 1, 3):
             states.append(scorer.step(states[-1], w)[0])
         tokens = rng.integers(0, scorer.vocab_size, size=len(states)).tolist()
-        for state, w, got in zip(states, tokens, scorer.advance(states, tokens)):
-            np.testing.assert_array_equal(got.log_probs, scorer.step(state, w)[1])
+        got = scorer.advance(stack_states(states), range(len(states)), tokens)
+        for i, (state, w) in enumerate(zip(states, tokens)):
+            np.testing.assert_array_equal(got.log_probs[i], scorer.step(state, w)[1])
+
+    def test_step_needs_one_row(self, scorer):
+        state = scorer.advance(scorer.initial_state(), [0, 0], [1, 2])
+        with pytest.raises(ContractError):
+            scorer.step(state, 0)
+
+
+def assert_rows_bit_equal(got, want):
+    """Equal bits in the distribution and every row array of two 1-row states."""
+    assert got.log_probs[0].tobytes() == want.log_probs[0].tobytes()
+    assert len(got.rows) == len(want.rows)
+    for a, b in zip(got.rows, want.rows):
+        assert a.tobytes() == b.tobytes()
+
+
+@given(
+    kind=st.sampled_from(["ngram-1", "ngram-2", "ngram-3", "uniform", "neural"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_advance_row_equals_stepping_its_parent_alone(kind, seed, data):
+    rng = np.random.default_rng(seed)
+    v = make_vocab(6)
+    if kind.startswith("ngram"):
+        scorer = random_ngram(rng, v, order=int(kind[-1]))
+    elif kind == "uniform":
+        scorer = UniformScorer(len(v))
+    else:
+        scorer = CaptionModel.build(v, rng.normal(size=(5, len(v))), 4, 2, rng=rng, init_scale=0.5)
+    state = scorer.initial_state(rng.normal(size=2) if kind == "neural" else None)
+    for _ in range(2):
+        b = len(state)
+        parents = data.draw(st.lists(st.integers(0, b - 1), min_size=1, max_size=12))
+        tokens = data.draw(st.lists(st.integers(0, len(v) - 1), min_size=len(parents), max_size=len(parents)))
+        nxt = scorer.advance(state, parents, tokens)
+        assert len(nxt) == len(parents)
+        for i, (p, w) in enumerate(zip(parents, tokens)):
+            assert_rows_bit_equal(nxt.take([i]), scorer.step(state.take([p]), w)[0])
+        state = nxt
 
 
 class TestPersistence:

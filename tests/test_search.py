@@ -18,7 +18,6 @@ from cbsdecode import (
     compile_disjunctions,
     compile_phrase,
     constrained_beam_search,
-    decode_multi_phrase,
     exhaustive_decode,
     intersect,
     ngram_train,
@@ -26,7 +25,7 @@ from cbsdecode import (
 )
 from cbsdecode.neural import CaptionModel
 from cbsdecode.scorers import DecodeState, Scorer
-from cbsdecode.search import _run_search
+from cbsdecode.search import _run_search, decode_best, phrase_machines
 from conftest import make_vocab, random_ngram
 from oracles import (
     filtered_argmax,
@@ -37,14 +36,6 @@ from oracles import (
 )
 
 NEG_INF = float("-inf")
-
-
-class _FixedState(DecodeState):
-    __slots__ = ("pos",)
-
-    def __init__(self, owner, log_probs, pos):
-        super().__init__(owner, log_probs)
-        self.pos = pos
 
 
 class ChainScorer(Scorer):
@@ -74,11 +65,13 @@ class ChainScorer(Scorer):
         return row
 
     def initial_state(self, conditioning=None):
-        return _FixedState(self, self._row(0), 0)
+        return DecodeState(self, [self._row(0)], (np.zeros(1, dtype=int),))
 
-    def _advance(self, state, token):
-        pos = state.pos + 1 if state.pos < len(self.chain) and token == self.chain[state.pos] else len(self.chain)
-        return _FixedState(self, self._row(pos), pos)
+    def _advance(self, state, tokens):
+        n = len(self.chain)
+        pos = [p + 1 if p < n and w == self.chain[p] else n
+               for p, w in zip(state.rows[0].tolist(), tokens.tolist())]
+        return DecodeState(self, [self._row(p) for p in pos], (np.array(pos),))
 
 
 class RepeatRewardScorer(Scorer):
@@ -107,12 +100,12 @@ class RepeatRewardScorer(Scorer):
         return shifted - math.log(np.exp(shifted).sum())
 
     def initial_state(self, conditioning=None):
-        return _FixedState(self, self._row(None, False), (None, False))
+        return DecodeState(self, [self._row(None, False)], (np.full(1, -1),))
 
-    def _advance(self, state, token):
-        prev, _ = state.pos
-        repeated = prev is not None and token == prev
-        return _FixedState(self, self._row(token, repeated), (token, repeated))
+    def _advance(self, state, tokens):
+        # rows: the previous token, -1 before the first
+        rows = [self._row(w, w == prev) for prev, w in zip(state.rows[0].tolist(), tokens.tolist())]
+        return DecodeState(self, rows, (tokens,))
 
 
 class NoEosScorer(Scorer):
@@ -124,7 +117,7 @@ class NoEosScorer(Scorer):
         self._eos = eos
         row = np.full(vocab_size, -math.log(vocab_size - 1))
         row[eos] = NEG_INF
-        self._state = _FixedState(self, row, 0)
+        self._state = DecodeState(self, [row])
 
     @property
     def vocab_size(self):
@@ -137,8 +130,8 @@ class NoEosScorer(Scorer):
     def initial_state(self, conditioning=None):
         return self._state
 
-    def _advance(self, state, token):
-        return self._state
+    def _advance(self, state, tokens):
+        return state
 
 
 class LastTokenScorer(Scorer):
@@ -159,10 +152,10 @@ class LastTokenScorer(Scorer):
         return self._eos
 
     def initial_state(self, conditioning=None):
-        return _FixedState(self, self._rows.get(None, self._default), None)
+        return DecodeState(self, [self._rows.get(None, self._default)])
 
-    def _advance(self, state, token):
-        return _FixedState(self, self._rows.get(token, self._default), token)
+    def _advance(self, state, tokens):
+        return DecodeState(self, [self._rows.get(w, self._default) for w in tokens.tolist()])
 
 
 def chair_table_setup():
@@ -386,7 +379,7 @@ class TestNoRepeatRule:
         total = 0.0
         state = m.initial_state()
         for w in best.tokens:
-            step_lp = float(state.log_probs[w])
+            step_lp = float(state.log_probs[0][w])
             assert step_lp <= 0.0
             total += step_lp
             state, _ = m.step(state, w)
@@ -399,7 +392,7 @@ class TestMultiPhrase:
         m = random_ngram(rng, v)
         p = PhraseConstraint((1, 2))
         params = SearchParams(beam_size=6, max_len=8)
-        combined = decode_multi_phrase(m, [p], params)
+        combined = decode_best(m, phrase_machines([p], len(v)), params)
         direct = constrained_beam_search(m, compile_phrase(p, len(v)), params)
         assert combined.best.tokens == direct.best.tokens
         assert combined.best.logprob == direct.best.logprob
@@ -416,7 +409,7 @@ class TestMultiPhrase:
             PhraseConstraint.from_words(["snooker", "table"], v),
         ]
         params = SearchParams(beam_size=6, max_len=8)
-        combined = decode_multi_phrase(m, phrases, params)
+        combined = decode_best(m, phrase_machines(phrases, len(v)), params)
         runs = [
             constrained_beam_search(m, compile_phrase(p, len(v)), params) for p in phrases
         ]
@@ -431,13 +424,13 @@ class TestMultiPhrase:
         from cbsdecode import ConstraintError
 
         with pytest.raises(ConstraintError):
-            decode_multi_phrase(m, [], SearchParams())
+            decode_best(m, phrase_machines([], len(v)), SearchParams())
 
     def test_base_fsm_combines_with_each_phrase(self):
         v, scorer, sets, fsm = chair_table_setup()
         phrases = [PhraseConstraint.from_words(["near"], v)]
         params = SearchParams(beam_size=8, max_len=10)
-        result = decode_multi_phrase(scorer, phrases, params, base_fsm=fsm)
+        result = decode_best(scorer, phrase_machines(phrases, len(v), fsm), params)
         assert result.status == "accepted"
         tokens = set(result.best.tokens)
         assert v.id("near") in tokens and tokens & sets[0] and tokens & sets[1]
