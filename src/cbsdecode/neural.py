@@ -32,9 +32,13 @@ CHECKPOINT_VERSION = 2
 
 GATES = ("i", "f", "o", "c")
 
-# Decoding runs every GEMM on fixed shapes, ROWS-row blocks of hypotheses
-# and TILE-column tiles of w_e, the last of each zero-padded: BLAS picks its
-# kernel, and so the bits of each row and column, from the operand shapes.
+# BLAS picks a GEMM's kernel, and so the bits of each row and column, from its
+# shape. Decode-time GEMMs get shapes that keep a row's bits independent of its
+# batch and of |V|. Rows are zero-padded to a multiple of ROWS: a lone row takes
+# GEMV. A GEMM runs over all the rows at once only when it is a whole number of
+# TILE columns wide, so w_e's last tile is zero-padded to TILE columns. Any other
+# width runs ROWS rows at a time: a GEMM's last N mod 8 columns, and every
+# column of a small one, can get bits that change with its row count.
 ROWS = 8
 TILE = 512
 
@@ -111,11 +115,17 @@ def _gate_cell(z: np.ndarray, c_prev: np.ndarray):
     return z[..., 2 * n : 3 * n] * tc, c, tc
 
 
-def _blocked(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """`a @ w` as one (ROWS x K) @ (K x M) GEMM per block of rows of `a`, the
-    last block zero-padded, so each row gets the bits it gets alone."""
-    rows = len(a)
-    a = np.concatenate([a, np.zeros((-rows % ROWS, a.shape[1]))])
+def _padded(a: np.ndarray) -> np.ndarray:
+    return np.concatenate([a, np.zeros((-len(a) % ROWS, a.shape[1]))])
+
+
+def _row_gemm(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`a @ w`, each row with the bits it gets alone (see ROWS): one GEMM over
+    the zero-padded rows of `a` when `w` is a whole number of TILE columns
+    wide, else one (ROWS x K) @ (K x M) GEMM per block of rows."""
+    rows, a = len(a), _padded(a)
+    if w.shape[1] % TILE == 0:
+        return (a @ w)[:rows]
     out = np.empty((len(a), w.shape[1]))
     for lo in range(0, len(a), ROWS):
         np.matmul(a[lo : lo + ROWS], w, out=out[lo : lo + ROWS])
@@ -289,18 +299,19 @@ class CaptionModel(Scorer):
         return v @ self.w_e
 
     def _tied_logits(self, h2: np.ndarray) -> np.ndarray:
-        """Decode-time tied output layer: (B x |V|) logits of B top-layer states,
-        a `_blocked` GEMM per TILE columns of w_e. The last tile is padded on
-        each call: an attribute holding part of w_e is copied by deep copies."""
-        v = np.tanh(_blocked(h2, self.w_v.T) + self.b_v)
+        """Decode-time tied output layer: (B x |V|) logits of B top-layer states.
+        The padded v takes one GEMM over a view of w_e's whole TILE-column
+        tiles and one over its last tile, zero-padded on each call: an
+        attribute holding part of w_e is copied by deep copies."""
+        v = _padded(np.tanh(_row_gemm(h2, self.w_v.T) + self.b_v))
         d, cols = self.w_e.shape
+        whole = cols - cols % TILE
         logits = np.empty((len(v), cols + -cols % TILE))
-        for lo in range(0, cols, TILE):
-            tile = self.w_e[:, lo : lo + TILE]
-            if tile.shape[1] < TILE:
-                tile = np.hstack([tile, np.zeros((d, TILE - tile.shape[1]))])
-            logits[:, lo : lo + TILE] = _blocked(v, tile)
-        return logits[:, :cols]
+        np.matmul(v, self.w_e[:, :whole], out=logits[:, :whole])
+        if whole < cols:
+            tail = np.hstack([self.w_e[:, whole:], np.zeros((d, whole + TILE - cols))])
+            np.matmul(v, tail, out=logits[:, whole:])
+        return logits[: len(h2), :cols]
 
     def output_logits(self, state: DecodeState) -> np.ndarray:
         """Raw tied-output logits (B x |V|) pending at the rows of `state`
@@ -311,9 +322,9 @@ class CaptionModel(Scorer):
         """The decode step of B hypotheses, given their inputs x and rows
         (h1, c1, h2, c2, cond) as (B x .) arrays; each row's bits depend
         neither on B nor on its place."""
-        z1 = _blocked(np.hstack([x, h1]), self.layer1.w.T) + self.layer1.b
+        z1 = _row_gemm(np.hstack([x, h1]), self.layer1.w.T) + self.layer1.b
         h1, c1, _ = _gate_cell(z1, c1)
-        z2 = _blocked(np.hstack([h1, cond, h2]), self.layer2.w.T) + self.layer2.b
+        z2 = _row_gemm(np.hstack([h1, cond, h2]), self.layer2.w.T) + self.layer2.b
         h2, c2, _ = _gate_cell(z2, c2)
         logp = log_softmax(self._tied_logits(h2))
         if not np.isfinite(logp).all():

@@ -267,22 +267,10 @@ class NGramModel(Scorer):
         return cls.from_dict(data)
 
     def __getstate__(self):
-        state = {
-            "order": self.order,
-            "alpha": self.alpha,
-            "vocab": self.vocab,
-            "context_counts": self.context_counts,
-            "continuations": self.continuations,
-        }
-        return state
+        return {k: v for k, v in vars(self).items() if k != "_row_cache"}
 
     def __setstate__(self, state):
-        self.order = state["order"]
-        self.alpha = state["alpha"]
-        self.vocab = state["vocab"]
-        self.context_counts = state["context_counts"]
-        self.continuations = state["continuations"]
-        self._row_cache = {}
+        vars(self).update(state, _row_cache={})
 
 
 def ngram_train(

@@ -3,8 +3,11 @@
 Nothing here reuses the package's decoding or automaton paths: constraint
 checks are direct set-membership and substring scans, sequence scores are
 chain-rule sums of individually queried conditionals, and the argmax is a
-full enumeration. The reference search loop at the end reads a machine's
-`defaults` and `rows` directly and steps each hypothesis alone with `step`.
+full enumeration. The reference search loop reads a machine's `defaults`
+and `rows` directly and steps each hypothesis alone with `step`. The one
+exception is the reference neural step at the end: it shares the package's
+nonlinearities and differs from `CaptionModel._step_rows` only in how it
+lays out its GEMMs.
 """
 
 import itertools
@@ -12,6 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from cbsdecode.neural import _gate_cell, log_softmax
 
 
 def satisfies_disjunctions(seq, sets) -> bool:
@@ -204,3 +209,45 @@ def reference_run_search(scorer, fsm, params, conditioning=None):
         if done and (frontier == _NEG_INF or max(done) > frontier):
             break
     return beams, steps
+
+
+# The decode step's GEMM layout before the wide GEMMs, kept as the reference
+# for their bits: every GEMM runs one 8-row block of hypotheses at a time, and
+# the tied projection one 512-column tile of w_e at a time, the last block and
+# tile zero-padded.
+
+REF_ROWS, REF_TILE = 8, 512
+
+
+def _ref_blocked(a, w):
+    """`a @ w` as one (8 x K) @ (K x M) GEMM per block of rows of `a`."""
+    rows = len(a)
+    a = np.concatenate([a, np.zeros((-rows % REF_ROWS, a.shape[1]))])
+    out = np.empty((len(a), w.shape[1]))
+    for lo in range(0, len(a), REF_ROWS):
+        np.matmul(a[lo : lo + REF_ROWS], w, out=out[lo : lo + REF_ROWS])
+    return out[:rows]
+
+
+def reference_tied_logits(m, h2):
+    """(B x |V|) tied-output logits of B top-layer states, one `_ref_blocked`
+    GEMM per 512 columns of w_e."""
+    v = np.tanh(_ref_blocked(h2, m.w_v.T) + m.b_v)
+    d, cols = m.w_e.shape
+    logits = np.empty((len(v), cols + -cols % REF_TILE))
+    for lo in range(0, cols, REF_TILE):
+        tile = m.w_e[:, lo : lo + REF_TILE]
+        if tile.shape[1] < REF_TILE:
+            tile = np.hstack([tile, np.zeros((d, REF_TILE - tile.shape[1]))])
+        logits[:, lo : lo + REF_TILE] = _ref_blocked(v, tile)
+    return logits[:, :cols]
+
+
+def reference_step_rows(m, x, h1, c1, h2, c2, cond):
+    """(log_probs, h1, c1, h2, c2) after one decode step of B hypotheses of
+    the caption model `m`, from the same (B x .) arrays as `_step_rows`."""
+    z1 = _ref_blocked(np.hstack([x, h1]), m.layer1.w.T) + m.layer1.b
+    h1, c1, _ = _gate_cell(z1, c1)
+    z2 = _ref_blocked(np.hstack([h1, cond, h2]), m.layer2.w.T) + m.layer2.b
+    h2, c2, _ = _gate_cell(z2, c2)
+    return log_softmax(reference_tied_logits(m, h2)), h1, c1, h2, c2

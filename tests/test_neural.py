@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -32,6 +33,7 @@ from cbsdecode.neural import (
     train,
 )
 from conftest import make_vocab, stack_states
+from oracles import reference_step_rows
 from test_scorers import scorer_contract_checks
 
 
@@ -598,38 +600,102 @@ def assert_same_bits(got, want, fields=STATE_ARRAYS):
         assert got[name].tobytes() == want[name].tobytes(), name
 
 
+# (embedding dim, hidden size, conditioning dim) for the wide-batch checks: the
+# neural-novel shapes, whose LSTM GEMMs are one TILE wide, and the `train-lm`
+# default hidden size at a 20-dim embedding, whose LSTM GEMMs are narrower
+WIDE_DIMS = {"bench": (300, 128, 16), "cli": (20, 32, 2)}
+
+
+@functools.cache
+def wide_model(dims, size):
+    """A model with the `WIDE_DIMS[dims]` shapes and |V| = `size`."""
+    return random_decode_model(*WIDE_DIMS[dims], size, seed=size)
+
+
+def check_rows_alone(m, b, rng):
+    """Two steps of b hypotheses: each row of `advance` equals the row its
+    state and token give stepped alone."""
+    states = stack_states([m.initial_state(rng.normal(size=m.cond_dim)) for _ in range(b)])
+    for _ in range(2):
+        tokens = rng.integers(0, m.vocab_size, size=b).tolist()
+        batch = m.advance(states, range(b), tokens)
+        for i, w in enumerate(tokens):
+            assert_same_bits(batch.take([i]), m.step(states.take([i]), w)[0])
+        states = batch
+
+
+def run_at_blas_threads(threads, node):
+    """pytest's stdout from running `node` of this file in a fresh interpreter
+    with `threads` BLAS threads, asserting that it passed."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"{Path(__file__).name}::{node}"],
+        cwd=Path(__file__).parent, env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
+    return run.stdout
+
+
 class TestBatchedStep:
-    """`advance` runs fixed-shape GEMMs (ROWS-row blocks, TILE-column tiles of
-    w_e), so a state's arrays must not depend on its batch, its position in
-    it, or |V|. A plain GEMM over the batch breaks this under OpenBLAS 0.3.31
-    with its SkylakeX kernels."""
+    """A state's arrays must not depend on its batch, its position in it, or
+    |V|. OpenBLAS 0.3.31 with its SkylakeX kernels picks a GEMM's kernel from
+    its shape and thread count, so `advance` pads every GEMM to a safe shape
+    (see `neural.ROWS`):
+    - every GEMM runs over rows zero-padded to a multiple of ROWS, since a
+      lone row takes GEMV;
+    - a GEMM a whole number of TILE columns wide runs over all the rows at
+      once: the tied projection over w_e's whole tiles and over its last
+      tile, zero-padded to TILE columns, and at the neural-novel shapes
+      both LSTM layers (4 x 128 columns);
+    - any other width, such as `w_v` (300 columns) or the LSTM layers of
+      small models, runs one ROWS-row block at a time, since a GEMM's last
+      N mod 8 columns, and every column of a small GEMM, get bits that
+      change with its row count.
+    A plain GEMM over the batch, or over all of w_e, breaks the property.
+    The bench-shape and wide-batch checks run again in a fresh interpreter
+    at 1 and 2 BLAS threads, because a process fixes its thread count when
+    it loads numpy."""
 
     @given(b=st.integers(1, 3 * ROWS + 1), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_advance_rows_bit_identical_to_stepping_alone(self, shaped_model, b, seed):
-        m = shaped_model
-        rng = np.random.default_rng(seed)
-        states = stack_states([m.initial_state(rng.normal(size=m.cond_dim)) for _ in range(b)])
-        for _ in range(2):
-            tokens = rng.integers(0, m.vocab_size, size=b).tolist()
-            batch = m.advance(states, range(b), tokens)
-            for i, w in enumerate(tokens):
-                assert_same_bits(batch.take([i]), m.step(states.take([i]), w)[0])
-            states = batch
+        check_rows_alone(shaped_model, b, np.random.default_rng(seed))
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_bench_shape_bits_at_blas_thread_count(self, threads):
-        # OpenBLAS picks its kernel per thread count, which a process fixes
-        # when it loads numpy, so the property above runs again at bench
-        # shapes in a fresh interpreter per count
-        node = f"{Path(__file__).name}::TestBatchedStep::test_advance_rows_bit_identical_to_stepping_alone[bench]"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        run = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
-            cwd=Path(__file__).parent, env=env, capture_output=True, text=True,
-        )
-        assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
-        assert "1 passed" in run.stdout
+        # the property above at bench shapes
+        node = "TestBatchedStep::test_advance_rows_bit_identical_to_stepping_alone[bench]"
+        assert "1 passed" in run_at_blas_threads(threads, node)
+
+    @pytest.mark.parametrize("b", [33, 40, 41])
+    @pytest.mark.parametrize("dims", sorted(WIDE_DIMS))
+    def test_wide_batch_rows_bit_identical_to_stepping_alone(self, dims, b):
+        # the bench reaches 34 live rows, and beam 5 over 8 FSM states 40
+        check_rows_alone(wide_model(dims, 5064), b, np.random.default_rng(b))
+
+    # 0, 1, 2 and 9 whole tiles of w_e, and every tail width mod 8
+    @pytest.mark.parametrize("size", [20, 509, 511, 516, 517, 1029, 5064])
+    @pytest.mark.parametrize("dims", sorted(WIDE_DIMS))
+    @given(b=st.integers(1, 5 * ROWS + 1), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_step_rows_bit_equal_to_reference_kernels(self, dims, size, b, seed):
+        m = wide_model(dims, size)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(b, m.embed_dim))
+        h1, c1, h2, c2 = rng.uniform(-1, 1, size=(4, b, m.hidden_size))
+        cond = rng.normal(size=(b, m.cond_dim))
+        got = m._step_rows(x, h1, c1, h2, c2, cond)
+        want = reference_step_rows(m, x, h1, c1, h2, c2, cond)
+        for name, g, w in zip(STATE_ARRAYS, (np.stack(got.log_probs), *got.rows), want):
+            assert g.tobytes() == w.tobytes(), name
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("test, count", [
+        ("test_wide_batch_rows_bit_identical_to_stepping_alone", 6),
+        ("test_step_rows_bit_equal_to_reference_kernels", 14),
+    ])
+    def test_wide_shapes_at_blas_thread_count(self, test, count, threads):
+        assert f"{count} passed" in run_at_blas_threads(threads, f"TestBatchedStep::{test}")
 
     @pytest.mark.parametrize("d", [5, 300])
     @pytest.mark.parametrize("size, added", [(20, 5), (511, 3), (1024, 2), (5064, 64)])
