@@ -34,7 +34,8 @@ from .search import (
     exhaustive_decode,
     phrase_machines,
 )
-from .vocab import Vocabulary, tokenize  # noqa: F401  (tokenize is part of the CLI surface)
+from .files import read_lines
+from .vocab import Vocabulary, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -91,9 +92,11 @@ def _resolve_scorer(kind: str, model_path: str | None) -> tuple[scorers.Scorer, 
 
 
 def _load_spec(constraints: str | None, lemmas: str | None, vocab: Vocabulary):
+    """The run's constraint spec; the empty spec, which `compile_spec` turns
+    into the machine that accepts everything, when there is none."""
     lemma_map = fsm_mod.LemmaMap.load(lemmas) if lemmas else None
     if constraints is None:
-        return None
+        return fsm_mod.ConstraintSpec(fsm_mod.DisjunctiveConstraints(()))
     return fsm_mod.load_constraint_spec(constraints, vocab, lemmas=lemma_map)
 
 
@@ -109,11 +112,10 @@ def _json_object(path: str, lineno: int, line: str) -> dict:
 
 def _jsonl_objects(path: str):
     """Yield (lineno, object) for every non-blank line of a JSONL file."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                yield lineno, _json_object(path, lineno, line)
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if line:
+            yield lineno, _json_object(path, lineno, line)
 
 
 def _list_field(path: str, lineno: int, obj: dict, name: str, kinds: tuple[type, ...]) -> list:
@@ -130,19 +132,22 @@ def _list_field(path: str, lineno: int, obj: dict, name: str, kinds: tuple[type,
     return value
 
 
-def _read_inputs(path: str | None, scorer: scorers.Scorer) -> list[dict]:
-    """Every input line, all parsed first; then one warning when the scorer
-    takes no conditioning and some lines carry `features` it ignores."""
+def _read_inputs(path: str | None, scorer: scorers.Scorer) -> list[tuple]:
+    """`(id, conditioning)` for every input line, all parsed first; then one
+    warning when the scorer takes no conditioning and some lines carry
+    `features` it ignores. A line's id defaults to its index."""
     if path is None:
-        return [{"id": 0}]
+        return [(0, None)]
     inputs = []
     for lineno, obj in _jsonl_objects(path):
+        conditioning = None
         if "features" in obj:
-            _list_field(path, lineno, obj, "features", (int, float))
-        inputs.append(obj)
+            features = _list_field(path, lineno, obj, "features", (int, float))
+            conditioning = np.asarray(features, dtype=np.float64)
+        inputs.append((obj.get("id", len(inputs)), conditioning))
     if not inputs:
         raise DataError(f"input file {path} is empty")
-    ignored = sum("features" in obj for obj in inputs)
+    ignored = sum(conditioning is not None for _, conditioning in inputs)
     if ignored and not isinstance(scorer, neural.CaptionModel):
         logger.warning(
             "%d input lines of %s carry features, which the %s scorer ignores",
@@ -163,22 +168,12 @@ def _write_lines(lines: Sequence[str], out: str | None) -> None:
 
 
 def _write_json(obj, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if out is None:
-        click.echo(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-            fh.write("\n")
+    _write_lines([json.dumps(obj, indent=2, sort_keys=True)], out)
 
 
-def _run_machine(spec, vocab: Vocabulary) -> fsm_mod.Fsm:
-    """The one machine every input of a run decodes under, built once per
-    run: the product of the spec's constraints, or the machine that accepts
-    everything when there is no spec."""
-    if spec is None:
-        return fsm_mod.trivial_fsm(len(vocab))
-    return fsm_mod.compile_spec(spec, vocab)
+def _result_line(item_id, result, vocab: Vocabulary, per_state: bool = False) -> str:
+    """The JSONL line of one decoded input: its id, then the result."""
+    return json.dumps({"id": item_id, **result.to_dict(vocab, per_state=per_state)})
 
 
 # decode worker plumbing; module-level so multiprocessing can fork it
@@ -196,15 +191,10 @@ def _decode_one_setup(scorer, vocab, machines, params, per_state):
     )
 
 
-def _decode_one(task: tuple[int, dict]) -> tuple[int, str]:
-    index, item = task
-    conditioning = None
-    if "features" in item:
-        conditioning = np.asarray(item["features"], dtype=np.float64)
+def _decode_one(item: tuple) -> str:
+    item_id, conditioning = item
     result = decode_best(_WORK["scorer"], _WORK["machines"], _WORK["params"], conditioning)
-    line: dict = {"id": item.get("id", index)}
-    line.update(result.to_dict(_WORK["vocab"], per_state=_WORK["per_state"]))
-    return index, json.dumps(line)
+    return _result_line(item_id, result, _WORK["vocab"], _WORK["per_state"])
 
 
 _SCORER_CHOICE = click.Choice(["ngram", "neural", "uniform"])
@@ -264,28 +254,26 @@ def decode(
     spec = _load_spec(constraints, lemmas, vocab)
     params = SearchParams(beam_size=beam, max_len=max_len, no_repeat=no_repeat)
     items = _read_inputs(inputs, scorer)
-    tasks = list(enumerate(items))
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
-    if phrase_mode == "any" and spec is not None and spec.phrases:
+    if phrase_mode == "any" and spec.phrases:
         # one run per phrase, each within the spec's disjunctions
         base = None
         if spec.disjunctions.disjunctions:
             base = fsm_mod.compile_disjunctions(spec.disjunctions, len(vocab))
         machines = phrase_machines(spec.phrases, len(vocab), base)
     else:
-        machines = [_run_machine(spec, vocab)]
+        machines = [fsm_mod.compile_spec(spec, vocab)]
     setup = (scorer, vocab, machines, params, emit_per_state)
-    if workers == 1 or len(tasks) == 1:
+    if workers == 1 or len(items) == 1:
         _decode_one_setup(*setup)
-        produced = [_decode_one(t) for t in tasks]
+        lines = [_decode_one(item) for item in items]
     else:
         with multiprocessing.Pool(
             processes=workers, initializer=_decode_one_setup, initargs=setup
         ) as pool:
-            produced = pool.map(_decode_one, tasks)
-    produced.sort(key=lambda pair: pair[0])
-    _write_lines([line for _, line in produced], out)
+            lines = pool.map(_decode_one, items)
+    _write_lines(lines, out)
 
 
 @cli.command()
@@ -302,17 +290,12 @@ def oracle(scorer_kind, model, inputs, constraints, lemmas, max_len, no_repeat, 
     """Exhaustive filtered-argmax decode for tiny instances: enumerate every
     sequence up to --max-len and keep the best one the FSM accepts."""
     scorer, vocab = _resolve_scorer(scorer_kind, model)
-    machine = _run_machine(_load_spec(constraints, lemmas, vocab), vocab)
+    machine = fsm_mod.compile_spec(_load_spec(constraints, lemmas, vocab), vocab)
     params = SearchParams(max_len=max_len, no_repeat=no_repeat)
     lines = []
-    for index, item in enumerate(_read_inputs(inputs, scorer)):
-        conditioning = None
-        if "features" in item:
-            conditioning = np.asarray(item["features"], dtype=np.float64)
+    for item_id, conditioning in _read_inputs(inputs, scorer):
         result = exhaustive_decode(scorer, machine, params, conditioning, limit=limit)
-        line = {"id": item.get("id", index)}
-        line.update(result.to_dict(vocab))
-        lines.append(json.dumps(line))
+        lines.append(_result_line(item_id, result, vocab))
     _write_lines(lines, out)
 
 
@@ -405,17 +388,16 @@ def expand(model, embeddings_path, manifest, out):
 def _read_generated(path: str) -> list[tuple[str, ...]]:
     """Decode JSONL (uses the `text` field) or plain text, one caption per line."""
     captions = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("{"):
-                obj = _json_object(path, lineno, line)
-                if not isinstance(obj.get("text"), str):
-                    raise DataError(f"{path}:{lineno}: field 'text' must be a string")
-                line = obj["text"]
-            captions.append(tuple(tokenize(line)))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("{"):
+            obj = _json_object(path, lineno, line)
+            if not isinstance(obj.get("text"), str):
+                raise DataError(f"{path}:{lineno}: field 'text' must be a string")
+            line = obj["text"]
+        captions.append(tuple(tokenize(line)))
     return captions
 
 

@@ -9,7 +9,6 @@ after lower-casing.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -17,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
+from .files import in_file, read_json, read_lines
 from .neural import CaptionModel
 from .vocab import Vocabulary
 
@@ -58,29 +58,28 @@ def load_embeddings(path, needed: Iterable[str] | None = None) -> tuple[Embeddin
     wanted = None if needed is None else {w.lower() for w in needed}
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            word, values = parts[0].lower(), parts[1:]
-            if dim is None:
-                if not values:
-                    raise DataError(f"{path}:{lineno}: entry has no values")
-                dim = len(values)
-            elif len(values) != dim:
-                raise DataError(
-                    f"{path}:{lineno}: expected {dim} values, found {len(values)}"
-                )
-            if wanted is not None and word not in wanted:
-                continue
-            try:
-                vec = np.array([float(x) for x in values])
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: bad float: {e}") from e
-            if not np.isfinite(vec).all():
-                raise DataError(f"{path}:{lineno}: non-finite value")
-            vectors[word] = vec
+    for lineno, line in enumerate(read_lines(path), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        word, values = parts[0].lower(), parts[1:]
+        if dim is None:
+            if not values:
+                raise DataError(f"{path}:{lineno}: entry has no values")
+            dim = len(values)
+        elif len(values) != dim:
+            raise DataError(
+                f"{path}:{lineno}: expected {dim} values, found {len(values)}"
+            )
+        if wanted is not None and word not in wanted:
+            continue
+        try:
+            vec = np.array([float(x) for x in values])
+        except ValueError as e:
+            raise DataError(f"{path}:{lineno}: bad float: {e}") from e
+        if not np.isfinite(vec).all():
+            raise DataError(f"{path}:{lineno}: non-finite value")
+        vectors[word] = vec
     if dim is None:
         raise DataError(f"embedding file {path} is empty")
     table = EmbeddingTable(dim, vectors)
@@ -167,19 +166,14 @@ def apply_expansion_manifest(
 
 def load_expansion_manifest(path) -> list[str]:
     """Manifest format: JSON list of {"word": ..., "source": "embedding-file"}."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise DataError(f"invalid expansion manifest {path}: {e}") from e
-    if not isinstance(data, list):
-        raise DataError("expansion manifest must be a JSON list")
-    words = []
-    for entry in data:
-        if not isinstance(entry, dict) or "word" not in entry:
-            raise DataError(f"manifest entry missing 'word': {entry!r}")
-        words.append(str(entry["word"]).lower())
-    return words
+    data = read_json(path)
+    with in_file(path):
+        if not isinstance(data, list):
+            raise DataError("expansion manifest must be a JSON list")
+        for entry in data:
+            if not isinstance(entry, dict) or "word" not in entry:
+                raise DataError(f"manifest entry missing 'word': {entry!r}")
+    return [str(entry["word"]).lower() for entry in data]
 
 
 def nearest_neighbors(t: EmbeddingTable, word: str, k: int) -> list[tuple[str, float]]:

@@ -11,7 +11,6 @@ successor plus an exception map for the tokens that matter to the constraint.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
@@ -20,6 +19,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CapacityError, ConstraintError, ContractError, DataError
+from .files import in_file, read_json, read_lines
 from .vocab import Vocabulary
 
 logger = logging.getLogger(__name__)
@@ -125,13 +125,8 @@ class LemmaMap:
     @classmethod
     def load(cls, path) -> "LemmaMap":
         """Read one lemma group per line, tab-separated, UTF-8."""
-        groups = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                words = [w for w in line.rstrip("\n").split("\t") if w]
-                if words:
-                    groups.append(words)
-        return cls(groups)
+        groups = ([w for w in line.rstrip("\n").split("\t") if w] for line in read_lines(path))
+        return cls(words for words in groups if words)
 
     def group(self, word: str) -> frozenset[str]:
         w = word.lower()
@@ -394,14 +389,17 @@ def intersect(a: Fsm, b: Fsm, max_states: int = MAX_PRODUCT_STATES) -> Fsm:
             f"({a.vocab_size} vs {b.vocab_size})"
         )
     start_pair = (a.start, b.start)
+    # ids in discovery order; each pair's default and row are built when it
+    # is popped, once its successors have ids
     ids: dict[tuple[int, int], int] = {start_pair: 0}
-    order = [start_pair]
+    defaults: dict[tuple[int, int], int] = {}
+    rows: dict[tuple[int, int], dict[int, int]] = {}
     frontier = [start_pair]
     while frontier:
-        sa, sb = frontier.pop()
-        successors = [(a.defaults[sa], b.defaults[sb])]
-        for w in set(a.rows[sa]) | set(b.rows[sb]):
-            successors.append((a.step(sa, w), b.step(sb, w)))
+        sa, sb = pair = frontier.pop()
+        ra, rb, da, db = a.rows[sa], b.rows[sb], a.defaults[sa], b.defaults[sb]
+        tokens = set(ra) | set(rb)
+        successors = [(da, db)] + [(ra.get(w, da), rb.get(w, db)) for w in tokens]
         for nxt in successors:
             if nxt not in ids:
                 if len(ids) >= max_states:
@@ -409,33 +407,18 @@ def intersect(a: Fsm, b: Fsm, max_states: int = MAX_PRODUCT_STATES) -> Fsm:
                         f"product FSM exceeds {max_states} states "
                         f"({a.num_states} x {b.num_states} components)"
                     )
-                ids[nxt] = len(order)
-                order.append(nxt)
+                ids[nxt] = len(ids)
                 frontier.append(nxt)
-    # build transitions now that every reachable pair has an id
-    rows = []
-    defaults = []
-    for sa, sb in order:
-        default_pair = (a.defaults[sa], b.defaults[sb])
-        defaults.append(ids[default_pair])
-        row = {}
-        for w in set(a.rows[sa]) | set(b.rows[sb]):
-            nxt = ids[(a.step(sa, w), b.step(sb, w))]
-            if nxt != ids[default_pair]:
-                row[w] = nxt
-        rows.append(row)
-    accepting = {
-        i for i, (sa, sb) in enumerate(order) if sa in a.accepting and sb in b.accepting
-    }
-    progress = [a.progress[sa] + b.progress[sb] for sa, sb in order]
+        default = defaults[pair] = ids[successors[0]]
+        rows[pair] = {w: ids[p] for w, p in zip(tokens, successors[1:]) if ids[p] != default}
     return Fsm(
-        num_states=len(order),
+        num_states=len(ids),
         start=0,
-        accepting=accepting,
+        accepting={i for i, (sa, sb) in enumerate(ids) if sa in a.accepting and sb in b.accepting},
         vocab_size=a.vocab_size,
-        defaults=defaults,
-        rows=rows,
-        progress=progress,
+        defaults=[defaults[p] for p in ids],
+        rows=[rows[p] for p in ids],
+        progress=[a.progress[sa] + b.progress[sb] for sa, sb in ids],
     )
 
 
@@ -476,6 +459,9 @@ def parse_constraint_spec(
     phrases = data.get("phrases", [])
     if not isinstance(groups, list) or not isinstance(phrases, list):
         raise DataError("constraint spec fields must be lists")
+    for kind, items in (("disjunction", groups), ("phrase", phrases)):
+        if not all(isinstance(item, list) for item in items):
+            raise DataError(f"each {kind} must be a list of words")
     # phrases first: an unknown phrase word fails before dropped disjunction
     # words are logged, so a failing spec logs nothing
     phrase_constraints = [
@@ -489,14 +475,11 @@ def parse_constraint_spec(
 def load_constraint_spec(
     path, vocab: Vocabulary, lemmas: LemmaMap | None = None
 ) -> ConstraintSpec:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise DataError(f"invalid constraint spec JSON in {path}: {e}") from e
-    if not isinstance(data, dict):
-        raise DataError("constraint spec must be a JSON object")
-    return parse_constraint_spec(data, vocab, lemmas=lemmas)
+    data = read_json(path)
+    with in_file(path):
+        if not isinstance(data, dict):
+            raise DataError("constraint spec must be a JSON object")
+        return parse_constraint_spec(data, vocab, lemmas=lemmas)
 
 
 def compile_spec(spec: ConstraintSpec, vocab: Vocabulary) -> Fsm:

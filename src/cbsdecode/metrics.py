@@ -8,11 +8,11 @@ belongs in the mention set data.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import DataError
+from .files import in_file, read_json
 from .fsm import Fsm
 from .search import DecodeResult
 
@@ -32,6 +32,8 @@ class MentionSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MentionSpec":
+        if not isinstance(data, dict) or not isinstance(data.get("mentions", []), list):
+            raise DataError(f"a mention spec must be an object with a list of mentions: {data!r}")
         try:
             return cls(
                 object_name=str(data["object"]),
@@ -43,13 +45,9 @@ class MentionSpec:
 
 def load_mention_specs(path) -> list[MentionSpec]:
     """Accepts a single {"object": ..., "mentions": [...]} object or a list."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise DataError(f"invalid mention spec {path}: {e}") from e
-    entries = data if isinstance(data, list) else [data]
-    return [MentionSpec.from_dict(e) for e in entries]
+    data = read_json(path)
+    with in_file(path):
+        return [MentionSpec.from_dict(e) for e in (data if isinstance(data, list) else [data])]
 
 
 @dataclass(frozen=True)

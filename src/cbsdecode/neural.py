@@ -52,9 +52,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Max-subtracted log-softmax over the last axis; logits are never
-    exponentiated raw."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    exponentiated raw. The shift goes into the result array and the log-sum
+    is subtracted in place, so a call makes two full-size arrays, not three."""
+    out = logits - logits.max(axis=-1, keepdims=True)
+    out -= np.log(np.exp(out).sum(axis=-1, keepdims=True))
+    return out
 
 
 @dataclass

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ContractError, DataError
+from .files import in_file, read_json, read_lines
 from .vocab import Vocabulary, tokenize
 
 # sentence-start padding symbol: lives outside V and is never emitted
@@ -240,16 +241,19 @@ class NGramModel(Scorer):
 
     @classmethod
     def from_dict(cls, data: dict) -> "NGramModel":
-        if data.get("format") != NGRAM_FORMAT:
+        if not isinstance(data, dict) or data.get("format") != NGRAM_FORMAT:
             raise DataError("not an n-gram model dump")
         if data.get("version") != NGRAM_VERSION:
             raise DataError(f"unsupported n-gram dump version {data.get('version')}")
-        vocab = Vocabulary(data["vocab"], eos_token=data["eos"])
-        model = cls(order=data["order"], alpha=data["alpha"], vocab=vocab)
-        for ctx, total, conts in data["contexts"]:
-            ctx = tuple(ctx)
-            model.context_counts[ctx] = total
-            model.continuations[ctx] = Counter({w: c for w, c in conts})
+        try:
+            vocab = Vocabulary(data["vocab"], eos_token=data["eos"])
+            model = cls(order=data["order"], alpha=data["alpha"], vocab=vocab)
+            for ctx, total, conts in data["contexts"]:
+                ctx = tuple(ctx)
+                model.context_counts[ctx] = total
+                model.continuations[ctx] = Counter({w: c for w, c in conts})
+        except (KeyError, TypeError, ValueError) as e:
+            raise DataError(f"malformed n-gram model dump: {e!r}") from e
         return model
 
     def save(self, path) -> None:
@@ -259,12 +263,9 @@ class NGramModel(Scorer):
 
     @classmethod
     def load(cls, path) -> "NGramModel":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise DataError(f"invalid n-gram model file {path}: {e}") from e
-        return cls.from_dict(data)
+        data = read_json(path)
+        with in_file(path):
+            return cls.from_dict(data)
 
     def __getstate__(self):
         return {k: v for k, v in vars(self).items() if k != "_row_cache"}
@@ -295,12 +296,7 @@ def load_corpus(path, vocab: Vocabulary | None = None) -> tuple[list[list[int]],
     """Read a plain-text corpus: one sentence per line, whitespace-tokenized,
     lower-cased on ingest. Appends the end-of-sequence token to every
     sentence; builds the vocabulary from the corpus when none is given."""
-    lines: list[list[str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            words = tokenize(line)
-            if words:
-                lines.append(words)
+    lines = [words for words in map(tokenize, read_lines(path)) if words]
     if not lines:
         raise DataError(f"corpus {path} contains no sentences")
     if vocab is None:

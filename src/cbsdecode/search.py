@@ -71,15 +71,12 @@ class DecodeResult:
     satisfied_count: int | None
     status: str
 
-    def to_dict(self, vocab: Vocabulary | None = None, per_state: bool = False) -> dict:
+    def to_dict(self, vocab: Vocabulary, per_state: bool = False) -> dict:
         def hyp_dict(h: Hypothesis) -> dict:
-            d = {"tokens": list(h.tokens), "logprob": h.logprob}
-            if vocab is not None:
-                words = vocab.decode(h.tokens)
-                if words and h.tokens[-1] == vocab.eos:
-                    words = words[:-1]
-                d["text"] = " ".join(words)
-            return d
+            words = vocab.decode(h.tokens)
+            if words and h.tokens[-1] == vocab.eos:
+                words = words[:-1]
+            return {"tokens": list(h.tokens), "logprob": h.logprob, "text": " ".join(words)}
 
         out: dict = {"status": self.status}
         if self.best is not None:
@@ -87,11 +84,7 @@ class DecodeResult:
             out["fsm_state"] = self.best.fsm_state
             out["satisfied_count"] = self.satisfied_count
         else:
-            out.update(
-                {"tokens": [], "logprob": None, "fsm_state": None, "satisfied_count": None}
-            )
-            if vocab is not None:
-                out["text"] = ""
+            out.update(tokens=[], logprob=None, fsm_state=None, satisfied_count=None, text="")
         if per_state:
             out["per_state_best"] = {
                 str(s): hyp_dict(h) for s, h in sorted(self.per_state_best.items())

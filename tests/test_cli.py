@@ -3,6 +3,7 @@ import logging
 import math
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -488,3 +489,126 @@ def test_malformed_jsonl_is_data_error_naming_the_line(
     payload = json.loads(err[0])["error"]
     assert payload["category"] == "data"
     assert f"{bad}:2:" in payload["message"]
+
+
+# every (command, file option) pair that reads a text or JSON file; the
+# corpus of train-ngram and train-lm is their first argument
+TEXT_FILE_OPTIONS = [
+    (command, option)
+    for command in ("compile", "decode", "oracle")
+    for option in ("model", "constraints", "lemmas", "inputs")
+    if (command, option) != ("compile", "inputs")
+] + [
+    ("train-ngram", "corpus"),
+    ("train-lm", "corpus"), ("train-lm", "embeddings"), ("train-lm", "conditioning"),
+    ("expand", "embeddings"), ("expand", "manifest"),
+    ("eval-f1", "generated"), ("eval-f1", "references"), ("eval-f1", "mentions"),
+]
+
+_NGRAM_HEAD = {"format": "cbsdecode-ngram", "version": 1, "order": 2, "alpha": 1.0, "eos": "<eos>"}
+
+# (command, file option, defect, file content, what the message must say):
+# JSON documents that parse but have the wrong shape
+WRONG_SHAPE = [
+    ("decode", "model", "model is a list", "[]", "not an n-gram model"),
+    ("decode", "model", "model has no vocab", json.dumps({**_NGRAM_HEAD, "contexts": []}),
+     "vocab"),
+    ("decode", "model", "context with two fields",
+     json.dumps({**_NGRAM_HEAD, "vocab": ["a", "<eos>"], "contexts": [[[-1], 3]]}),
+     "malformed n-gram model"),
+    ("eval-f1", "mentions", "mention spec is a string", '"chair"', "mention spec"),
+    ("eval-f1", "mentions", "mentions not a list", '{"object": "chair", "mentions": 5}',
+     "list of mentions"),
+    ("decode", "constraints", "phrase is a number", '{"phrases": [5]}',
+     "each phrase must be a list of words"),
+    ("decode", "constraints", "phrase is a string", '{"phrases": ["chair"]}',
+     "each phrase must be a list of words"),
+    ("decode", "constraints", "disjunction is a string", '{"disjunctions": ["chair"]}',
+     "each disjunction must be a list of words"),
+]
+
+
+@pytest.fixture(scope="module")
+def valid_files(workdir, tmp_path_factory):
+    """One valid file per option of TEXT_FILE_OPTIONS, plus the neural
+    checkpoint that `expand` reads."""
+    root = tmp_path_factory.mktemp("valid-files")
+    texts = {
+        "model": (workdir / "model.json").read_text(encoding="utf-8"),
+        "constraints": json.dumps({"disjunctions": [["chair"]], "phrases": [["a", "man"]]}),
+        "lemmas": "chair\tchairs\n",
+        "inputs": '{"id": 0}\n{"id": 1}\n',
+        "corpus": "a chair\na table\n",
+        "embeddings": "".join(
+            f"{w} 0.1 -0.2 0.3\n" for w in ("a", "chair", "table", "<eos>", "stool")
+        ),
+        "conditioning": '{"features": [0.5, 0.5]}\n{"features": [0.1, -0.2]}\n',
+        "manifest": json.dumps([{"word": "stool", "source": "embedding-file"}]),
+        "generated": '{"text": "a chair"}\nthe table\n',
+        "references": '{"references": ["a chair"]}\n{"references": ["a table"]}\n',
+        "mentions": json.dumps({"object": "chair", "mentions": ["chair"]}),
+    }
+    files = {}
+    for option, text in texts.items():
+        files[option] = root / option
+        files[option].write_text(text, encoding="utf-8")
+    v = Vocabulary.from_tokens(["a", "chair", "table"])
+    files["checkpoint"] = root / "lm.npz"
+    save_checkpoint(CaptionModel.build(v, np.full((3, len(v)), 0.1), 2, 2), files["checkpoint"])
+    return files
+
+
+def _argv(command, files, out):
+    f = {name: str(path) for name, path in files.items()}
+    if command in ("compile", "decode", "oracle"):
+        argv = [command, "--model", f["model"], "--constraints", f["constraints"],
+                "--lemmas", f["lemmas"], "--out", out]
+        return argv if command == "compile" else argv + ["--inputs", f["inputs"], "--max-len", "3"]
+    if command == "train-ngram":
+        return ["train-ngram", f["corpus"], "--out", out]
+    if command == "train-lm":
+        return ["train-lm", f["corpus"], "--embeddings", f["embeddings"],
+                "--conditioning", f["conditioning"], "--hidden", "2", "--epochs", "1",
+                "--out", out]
+    if command == "expand":
+        return ["expand", "--model", f["checkpoint"], "--embeddings", f["embeddings"],
+                "--manifest", f["manifest"], "--out", out]
+    return ["eval-f1", "--generated", f["generated"], "--references", f["references"],
+            "--mentions", f["mentions"], "--out", out]
+
+
+@pytest.mark.parametrize("command", sorted({c for c, _ in TEXT_FILE_OPTIONS}))
+def test_valid_files_run(valid_files, tmp_path, capsys, command):
+    assert main(_argv(command, valid_files, str(tmp_path / "out"))) == 0
+    assert capsys.readouterr().err == ""
+
+
+MALFORMED_FILES = [(c, o, "not UTF-8", None, "not UTF-8") for c, o in TEXT_FILE_OPTIONS] + WRONG_SHAPE
+
+
+@pytest.mark.parametrize(
+    "command,option,defect,content,says",
+    MALFORMED_FILES,
+    ids=[f"{c}-{o}-{d}" for c, o, d, _, _ in MALFORMED_FILES],
+)
+def test_malformed_file_is_data_error(
+    valid_files, tmp_path, capsys, command, option, defect, content, says
+):
+    """A file that is not UTF-8 (one Latin-1 byte in the middle of valid
+    content), or JSON of the wrong shape, ends in exit 66 with one JSON error
+    object on stderr that names the file and the problem."""
+    bad = tmp_path / f"bad-{option}"
+    if content is None:
+        valid = valid_files[option].read_bytes()
+        bad.write_bytes(valid[: len(valid) // 2] + "é".encode("latin-1") + valid[len(valid) // 2:])
+    else:
+        bad.write_text(content, encoding="utf-8")
+    files = {**valid_files, option: bad}
+    assert main(_argv(command, files, str(tmp_path / "out"))) == 66
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])["error"]
+    assert payload["category"] == "data" and payload["exit_code"] == 66
+    assert str(bad) in payload["message"] and says in payload["message"]

@@ -143,7 +143,63 @@ class TestCompilePhrase:
             PhraseConstraint(())
 
 
+def two_pass_intersect(a, b):
+    """The product construction in two passes: discover every reachable pair
+    (LIFO frontier, default successor first), then build each pair's default
+    and row through the validating `Fsm.step`. `intersect` builds both in
+    one pass and must give the same machine, state numbers and row order
+    included."""
+    ids = {(a.start, b.start): 0}
+    frontier = [(a.start, b.start)]
+    while frontier:
+        sa, sb = frontier.pop()
+        successors = [(a.defaults[sa], b.defaults[sb])]
+        successors += [(a.step(sa, w), b.step(sb, w)) for w in set(a.rows[sa]) | set(b.rows[sb])]
+        for nxt in successors:
+            if nxt not in ids:
+                ids[nxt] = len(ids)
+                frontier.append(nxt)
+    defaults, rows = [], []
+    for sa, sb in ids:
+        defaults.append(ids[(a.defaults[sa], b.defaults[sb])])
+        row = {}
+        for w in set(a.rows[sa]) | set(b.rows[sb]):
+            nxt = ids[(a.step(sa, w), b.step(sb, w))]
+            if nxt != defaults[-1]:
+                row[w] = nxt
+        rows.append(row)
+    accepting = {i for i, (sa, sb) in enumerate(ids) if sa in a.accepting and sb in b.accepting}
+    progress = [a.progress[sa] + b.progress[sb] for sa, sb in ids]
+    return Fsm(len(ids), 0, accepting, a.vocab_size, defaults, rows, progress)
+
+
+@st.composite
+def constraint_machines(draw, vocab_size):
+    """A disjunction or phrase machine over `vocab_size` tokens."""
+    token = st.integers(0, vocab_size - 1)
+    if draw(st.booleans()):
+        sets = draw(st.lists(st.sets(token, min_size=1, max_size=3), min_size=1, max_size=3))
+        return compile_disjunctions(DisjunctiveConstraints.from_sets(sets), vocab_size)
+    phrase = draw(st.lists(token, min_size=1, max_size=4))
+    return compile_phrase(PhraseConstraint(tuple(phrase)), vocab_size)
+
+
 class TestIntersect:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_same_machine_as_two_pass_construction(self, data):
+        vocab_size = data.draw(st.integers(1, 9))
+        machines = data.draw(st.lists(constraint_machines(vocab_size), min_size=2, max_size=3))
+        product, reference = machines[0], machines[0]
+        for m in machines[1:]:
+            product, reference = intersect(product, m), two_pass_intersect(reference, m)
+        for got, want in ((product, reference), (intersect(machines[1], machines[0]),
+                                                  two_pass_intersect(machines[1], machines[0]))):
+            assert (got.num_states, got.accepting, got.defaults, got.progress) == (
+                want.num_states, want.accepting, want.defaults, want.progress)
+            assert [list(r.items()) for r in got.rows] == [list(r.items()) for r in want.rows]
+            assert json.dumps(got.dump()) == json.dumps(want.dump())
+
     def test_identity_with_trivial_machine(self):
         v = make_vocab(4)
         f = compile_phrase(PhraseConstraint((0, 1)), len(v))

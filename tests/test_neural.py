@@ -149,6 +149,26 @@ def test_sigmoid_bits_equal_two_branch_formula():
         assert _sigmoid(z).tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("vocab_size", [2, 7, 5064])
+def test_log_softmax_bits_equal_two_line_formula(vocab_size):
+    """The in-place log-softmax gives the bits of the formula it replaced,
+    on (B x |V|) rows with -inf entries, large values and a one-finite-entry
+    row, and on one vector; its input is left unchanged."""
+    rng = np.random.default_rng(vocab_size)
+    logits = rng.standard_normal((13, vocab_size)) * 10.0 ** rng.uniform(-3, 3, (13, vocab_size))
+    logits[:, :-1][rng.random((13, vocab_size - 1)) < 0.1] = -np.inf
+    logits[0] += 1e6
+    logits[1] = np.linspace(-1e300, 1e300, vocab_size)
+    logits[2] = -np.inf
+    logits[2, -1] = 800.0
+    before = logits.copy()
+    for x in (logits, logits[3]):
+        shifted = x - x.max(axis=-1, keepdims=True)
+        ref = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(neural.log_softmax(x), ref)
+    np.testing.assert_array_equal(logits, before)
+
+
 class TestBuild:
     def test_seeded_draws_fill_gate_blocks_in_documented_order(self):
         v = make_vocab(5)
