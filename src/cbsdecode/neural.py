@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
+import zipfile
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -540,17 +541,22 @@ def save_checkpoint(m: CaptionModel, path, seed: int | None = None) -> None:
     np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
 
 
+# what np.load raises on a file that is not a whole .npz, and reading one of
+# its arrays on a damaged member
+_UNREADABLE = (OSError, ValueError, EOFError, zipfile.BadZipFile)
+
+
 def load_checkpoint(path) -> CaptionModel:
     try:
         data = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as e:
+    except _UNREADABLE as e:
         raise DataError(f"cannot read checkpoint {path}: {e}") from e
     with data:
         if "__meta__" not in data:
             raise DataError(f"{path} is not a caption model checkpoint")
         try:
             return _model_from_arrays(path, data)
-        except (KeyError, ValueError) as e:
+        except (KeyError, *_UNREADABLE) as e:
             raise DataError(f"malformed checkpoint {path}: {e!r}") from e
 
 

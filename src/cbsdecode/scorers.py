@@ -5,7 +5,9 @@ batch of decode states. A `DecodeState` is an immutable batch of B rows: the
 batch returned by `initial_state` has one row, which already carries the
 pending distribution over the first token, and `advance(state, parents,
 tokens)` returns a fresh batch whose row i follows row parents[i] after
-consuming tokens[i].
+consuming tokens[i]. Once per step the search asks `top_k` for each row's
+best tokens and its scores at the machine's listed tokens; a scorer may
+answer from caches of its own (`NGramModel` ranks each context once).
 """
 
 from __future__ import annotations
@@ -51,6 +53,29 @@ class DecodeState:
         return DecodeState(self.owner, [lp[i] for i in idx.tolist()], tuple(r[idx] for r in self.rows))
 
 
+def _top_ids(rows: np.ndarray, k: int) -> np.ndarray:
+    """(B x k) ids of the k best entries of each row of the C-contiguous
+    (B x n) `rows`, exactly ordered by (score desc, token asc); 1 <= k <= n."""
+    b, n = rows.shape
+    c = 4 * k
+    if c >= n:
+        return np.argsort(-rows, axis=1, kind="stable")[:, :k]
+    # k of c strided slices of a row hold an entry at least `least`, so its
+    # best k are the entries above it plus, when those are too few, the lowest
+    # ids equal to it (an n-gram row is mostly one floor value)
+    least = np.partition(rows[:, : n // c * c].reshape(b, n // c, c).max(axis=1), c - k, axis=1)
+    least = least[:, c - k, None]
+    flat = np.flatnonzero(rows > least)
+    short = k - np.bincount(flat // n, minlength=b)
+    if (short > 0).any():
+        tie = np.flatnonzero((rows == least) & (short > 0)[:, None])
+        r = tie // n
+        flat = np.concatenate([flat, tie[np.arange(r.shape[0]) - np.searchsorted(r, r) < short[r]]])
+    flat = flat[np.lexsort((flat, -rows.ravel()[flat], flat // n))]
+    r = flat // n
+    return flat[np.arange(r.shape[0]) - np.searchsorted(r, r) < k].reshape(b, k) % n
+
+
 class Scorer(ABC):
     """Contract for any stepwise conditional sequence model."""
 
@@ -91,6 +116,18 @@ class Scorer(ABC):
             raise ContractError(f"token id {bad[0]} out of range for |V|={v}")
         gathered = state.take(parents)
         return self._advance(gathered, tokens) if tokens.size else gathered
+
+    def top_k(
+        self, state: DecodeState, k: int, tokens: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`(ids, scores, token_scores)` for the rows of `state`: the (B x k)
+        ids of each row's k best tokens, exactly ordered by (score desc, token
+        asc), their (B x k) scores, and the rows' (B x len(tokens)) scores at
+        `tokens`; 1 <= k <= |V|. Read from `log_probs`; a scorer may override
+        it with caches of its own that give the same values."""
+        rows = np.array(state.log_probs, dtype=np.float64).reshape(len(state), self.vocab_size)
+        ids = _top_ids(rows, k)
+        return ids, np.take_along_axis(rows, ids, axis=1), rows[:, tokens]
 
     def step(self, state: DecodeState, token: int) -> tuple[DecodeState, np.ndarray]:
         """One-row form of `advance`: the next 1-row batch and its log
@@ -146,8 +183,9 @@ class NGramModel(Scorer):
     """Order-k count model with additive (add-alpha) smoothing.
 
     Conditionals are strictly positive for alpha > 0, so the model doubles as
-    the probability source for brute-force enumeration oracles. Immutable
-    after training.
+    the probability source for brute-force enumeration oracles. Its counts
+    are immutable after training; its decode caches grow as it decodes, so
+    one model serves one thread at a time.
     """
 
     def __init__(self, order: int, alpha: float, vocab: Vocabulary):
@@ -160,7 +198,8 @@ class NGramModel(Scorer):
         self.vocab = vocab
         self.context_counts: Counter[tuple[int, ...]] = Counter()
         self.continuations: dict[tuple[int, ...], Counter[int]] = {}
-        self._row_cache: dict[tuple[int, ...], np.ndarray] = {}
+        self._contexts: list[tuple[int, ...]] = []
+        self._build_cache()
 
     @property
     def vocab_size(self) -> int:
@@ -198,29 +237,85 @@ class NGramModel(Scorer):
             ctx = (START,) * (need - len(ctx)) + ctx
         return ctx
 
-    def _log_row(self, ctx: tuple[int, ...]) -> np.ndarray:
-        row = self._row_cache.get(ctx)
-        if row is None:
-            total = self.context_counts.get(ctx, 0)
-            counts = np.zeros(self.vocab_size)
-            for w, c in self.continuations.get(ctx, {}).items():
-                counts[w] = c
-            row = np.log(counts + self.alpha) - np.log(total + self.alpha * self.vocab_size)
-            row.flags.writeable = False
-            self._row_cache[ctx] = row
-        return row
+    # decode state: rows = ((B,) context ids,). A context's id is its place in
+    # `_contexts`, and log_probs[i] is `_log_rows[id]`, a read-only view of
+    # row id of `_logp`, shared, never copied. The context after token w
+    # depends on the context's tail, all but its first token:
+    # `_next[_tail[id], w]` is its id, -1 until first asked for. `_top` holds
+    # the K best ids of the contexts below `_ranked`, K the widest k asked for
 
-    # decode state: rows = ((B x k-1) context array,); log_probs[i] is the
-    # cached `_log_row` of row i's context, shared, never copied
+    def _build_cache(self) -> None:
+        """Fresh caches that hold the contexts of `_contexts` under the same ids."""
+        v = self.vocab_size
+        self._context_ids: dict[tuple[int, ...], int] = {}
+        self._tails: dict[tuple[int, ...], int] = {}
+        self._logp = np.empty((0, v))
+        self._log_rows: list[np.ndarray] = []
+        self._tail = np.empty(0, dtype=np.int32)
+        self._next = np.empty((0, v), dtype=np.int32)
+        self._top = np.empty((0, 0), dtype=np.intp)
+        self._ranked = 0
+        contexts, self._contexts = self._contexts, []
+        for ctx in contexts:
+            self._context_id(ctx)
+
+    def _context_id(self, ctx: tuple[int, ...]) -> int:
+        cid = self._context_ids.get(ctx)
+        if cid is not None:
+            return cid
+        cid = self._context_ids[ctx] = len(self._contexts)
+        self._contexts.append(ctx)
+        if cid == len(self._logp):
+            cap = max(8, 2 * cid)
+            self._logp, self._tail, self._top = (
+                _grown(a, cap) for a in (self._logp, self._tail, self._top)
+            )
+            view = self._logp.view()
+            view.flags.writeable = False
+            self._log_rows = list(view)
+        counts = np.zeros(self.vocab_size)
+        for w, c in self.continuations.get(ctx, {}).items():
+            counts[w] = c
+        total = self.context_counts.get(ctx, 0)
+        self._logp[cid] = np.log(counts + self.alpha) - np.log(total + self.alpha * self.vocab_size)
+        tid = self._tails.get(ctx[1:])
+        if tid is None:
+            tid = self._tails[ctx[1:]] = len(self._tails)
+            if tid == len(self._next):
+                self._next = _grown(self._next, 2 * tid + 1)
+            self._next[tid] = -1
+        self._tail[cid] = tid
+        return cid
 
     def initial_state(self, conditioning=None) -> DecodeState:
-        ctx = (START,) * (self.order - 1)
-        return DecodeState(self, [self._log_row(ctx)], (np.array([ctx], dtype=np.intp),))
+        cid = self._context_id((START,) * (self.order - 1))
+        return DecodeState(self, [self._log_rows[cid]], (np.array([cid], dtype=np.int32),))
 
     def _advance(self, state: DecodeState, tokens) -> DecodeState:
         (ctx,) = state.rows
-        ctx = np.concatenate([ctx, tokens[:, None]], axis=1)[:, 1:]
-        return DecodeState(self, [self._log_row(c) for c in map(tuple, ctx.tolist())], (ctx,))
+        tail = self._tail[ctx]
+        nxt = self._next[tail, tokens]
+        miss = np.flatnonzero(nxt < 0)
+        if miss.size:
+            for c, w in zip(ctx[miss].tolist(), tokens[miss].tolist()):
+                cid = self._context_id((self._contexts[c] + (w,))[1:])
+                self._next[self._tail[c], w] = cid
+            nxt = self._next[tail, tokens]
+        rows = self._log_rows
+        return DecodeState(self, [rows[c] for c in nxt.tolist()], (nxt,))
+
+    def top_k(self, state: DecodeState, k: int, tokens: np.ndarray):
+        """`Scorer.top_k` from the context cache: each context's row is ranked
+        once, at the widest k asked for so far, and a smaller k reads a prefix."""
+        (ctx,) = state.rows
+        n = len(self._contexts)
+        if k > self._top.shape[1]:
+            self._top, self._ranked = np.empty((len(self._logp), k), dtype=np.intp), 0
+        if self._ranked < n:
+            self._top[self._ranked : n] = _top_ids(self._logp[self._ranked : n], self._top.shape[1])
+            self._ranked = n
+        ids = self._top[ctx, :k]
+        return ids, self._logp[ctx[:, None], ids], self._logp[ctx[:, None], tokens]
 
     # persistence: JSON dump of counts + alpha + vocabulary
 
@@ -267,11 +362,25 @@ class NGramModel(Scorer):
         with in_file(path):
             return cls.from_dict(data)
 
+    # a copy keeps the context ids, so decode states copied with it stay valid,
+    # and rebuilds every cache behind them
+
     def __getstate__(self):
-        return {k: v for k, v in vars(self).items() if k != "_row_cache"}
+        return {k: v for k, v in vars(self).items() if k in _PERSISTENT}
 
     def __setstate__(self, state):
-        vars(self).update(state, _row_cache={})
+        vars(self).update(state)
+        self._build_cache()
+
+
+_PERSISTENT = ("order", "alpha", "vocab", "context_counts", "continuations", "_contexts")
+
+
+def _grown(a: np.ndarray, rows: int) -> np.ndarray:
+    """A copy of `a` with `rows` rows, its own first; the rest uninitialised."""
+    out = np.empty((rows,) + a.shape[1:], dtype=a.dtype)
+    out[: len(a)] = a
+    return out
 
 
 def ngram_train(

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ConstraintError, ContractError, DecodeError
-from .fsm import Fsm, PhraseConstraint, RouteTable, compile_phrase, intersect, trivial_fsm
+from .fsm import Fsm, PhraseConstraint, compile_phrase, intersect, trivial_fsm
 from .scorers import Scorer
 from .vocab import Vocabulary
 
@@ -92,27 +92,6 @@ class DecodeResult:
         return out
 
 
-def _top_entries(row: np.ndarray, k: int, table: RouteTable) -> tuple:
-    """`(row, ints, floats)` for one distribution row. `ints` holds the ids
-    of the row's k best entries, exactly ordered by (score desc, token asc),
-    then their route-table columns; `floats` holds their scores, then the
-    row's scores at the route table's tokens. Holding the row pins its id,
-    the key of the per-search cache of these entries."""
-    n, c = row.shape[0], 4 * k
-    if c >= n:
-        chosen = np.arange(n)
-    else:
-        # k of c strided slices hold an entry at least `least`, so the best k
-        # are the entries above it plus, when those are too few, the lowest
-        # ids equal to it (an n-gram row is mostly one floor value)
-        least = np.partition(row[: n // c * c].reshape(-1, c).max(axis=0), c - k)[c - k]
-        chosen = np.flatnonzero(row > least)
-        if chosen.shape[0] < k:
-            chosen = np.concatenate([chosen, np.flatnonzero(row == least)[: k - chosen.shape[0]]])
-    ids = chosen[np.lexsort((chosen, -row[chosen]))][:k]
-    return row, np.concatenate([ids, table.col[ids]]), np.concatenate([row[ids], row[table.tokens]])
-
-
 def _run_search(
     scorer: Scorer,
     fsm: Fsm,
@@ -122,14 +101,16 @@ def _run_search(
     """Multi-beam decode loop. Returns the final beams (one per FSM state,
     best-first) and the steps taken.
 
-    Each timestep works on arrays over every live hypothesis at once. A
-    hypothesis extends along routes: the default route takes its best
-    `beam_size` tokens that its state does not list, and each exception
-    route its best `beam_size` among the listed tokens sent to one
-    destination, both by (score desc, token asc), skipping the no-repeat
-    token and -inf scores. Each destination beam then keeps the top
-    `beam_size` of its completed hypotheses and the candidates routed to
-    it, by (logprob desc, length asc, lexicographic tokens), in one lexsort.
+    Each timestep works on arrays over every live hypothesis at once, and
+    asks the scorer once, through `top_k`, for every live row's best k tokens
+    and its scores at the machine's listed tokens. A hypothesis extends
+    along routes: the default route takes its best `beam_size` tokens that
+    its state does not list, and each exception route its best `beam_size`
+    among the listed tokens sent to one destination, both by (score desc,
+    token asc), skipping the no-repeat token and -inf scores. Each
+    destination beam then keeps the top `beam_size` of its completed
+    hypotheses and the candidates routed to it, by (logprob desc, length
+    asc, lexicographic tokens), in one lexsort.
     Live hypotheses at a step all have its length and distinct token
     tuples, so among candidates the lexicographic order is (parent's rank,
     token), and completed hypotheses are shorter than every candidate."""
@@ -152,7 +133,6 @@ def _run_search(
     # a row's best (beam + listed + 1) always cover the default route's best
     # beam after skipping listed tokens and the no-repeat token
     k = min(v, b + 1 + max(len(row) for row in fsm.rows))
-    tops: dict = {}  # id(row) -> _top_entries(row, k, table)
 
     # live hypotheses: one decode-state batch, and parallel arrays of FSM
     # state, logprob, tokens (one row each) and rank in lexicographic order
@@ -173,22 +153,8 @@ def _run_search(
         if not states:
             break
         steps += 1
-        slot_of: dict[int, int] = {}
-        rows: list[tuple] = []
-        slot = []
-        for row in states.log_probs:
-            i = slot_of.get(id(row))
-            if i is None:
-                i = slot_of[id(row)] = len(rows)
-                hit = tops.get(id(row))
-                if hit is None:
-                    hit = tops[id(row)] = _top_entries(row, k, table)
-                rows.append(hit)
-            slot.append(i)
-        slot = np.array(slot)
-        ints = np.array([r[1] for r in rows])[slot]
-        floats = np.array([r[2] for r in rows])[slot]
-        ids, cols, scores, xs = ints[:, :k], ints[:, k:], floats[:, :k], floats[:, k:]
+        ids, scores, xs = scorer.top_k(states, k, table.tokens)
+        cols = table.col[ids]
         last = tokens[:, -1:] if params.no_repeat and t else -1
 
         # default route

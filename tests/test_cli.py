@@ -558,10 +558,11 @@ def valid_files(workdir, tmp_path_factory):
     return files
 
 
-def _argv(command, files, out):
+def _argv(command, files, out, neural=False):
     f = {name: str(path) for name, path in files.items()}
     if command in ("compile", "decode", "oracle"):
-        argv = [command, "--model", f["model"], "--constraints", f["constraints"],
+        model = ["--scorer", "neural", "--model", f["checkpoint"]] if neural else ["--model", f["model"]]
+        argv = [command, *model, "--constraints", f["constraints"],
                 "--lemmas", f["lemmas"], "--out", out]
         return argv if command == "compile" else argv + ["--inputs", f["inputs"], "--max-len", "3"]
     if command == "train-ngram":
@@ -583,7 +584,21 @@ def test_valid_files_run(valid_files, tmp_path, capsys, command):
     assert capsys.readouterr().err == ""
 
 
-MALFORMED_FILES = [(c, o, "not UTF-8", None, "not UTF-8") for c, o in TEXT_FILE_OPTIONS] + WRONG_SHAPE
+# (command, "checkpoint", defect, the slice of a valid checkpoint's bytes,
+# what the message must say). `decode` reads a file that does not start
+# with the zip magic as an n-gram JSON dump
+CHECKPOINT_DEFECTS = [
+    ("expand", "checkpoint", "truncated checkpoint", slice(0, 100), "cannot read checkpoint"),
+    ("expand", "checkpoint", "empty checkpoint", slice(0, 0), "cannot read checkpoint"),
+    ("decode", "checkpoint", "truncated checkpoint", slice(0, 100), "cannot read checkpoint"),
+    ("decode", "checkpoint", "empty checkpoint", slice(0, 0), "invalid JSON"),
+]
+
+MALFORMED_FILES = (
+    [(c, o, "not UTF-8", None, "not UTF-8") for c, o in TEXT_FILE_OPTIONS]
+    + WRONG_SHAPE
+    + CHECKPOINT_DEFECTS
+)
 
 
 @pytest.mark.parametrize(
@@ -595,16 +610,19 @@ def test_malformed_file_is_data_error(
     valid_files, tmp_path, capsys, command, option, defect, content, says
 ):
     """A file that is not UTF-8 (one Latin-1 byte in the middle of valid
-    content), or JSON of the wrong shape, ends in exit 66 with one JSON error
-    object on stderr that names the file and the problem."""
+    content), JSON of the wrong shape, or a truncated or empty checkpoint
+    (`decode` reads it with `--scorer neural`) ends in exit 66 with one JSON
+    error object on stderr that names the file and the problem."""
     bad = tmp_path / f"bad-{option}"
+    valid = valid_files[option].read_bytes()
     if content is None:
-        valid = valid_files[option].read_bytes()
         bad.write_bytes(valid[: len(valid) // 2] + "é".encode("latin-1") + valid[len(valid) // 2:])
+    elif isinstance(content, slice):
+        bad.write_bytes(valid[content])
     else:
         bad.write_text(content, encoding="utf-8")
     files = {**valid_files, option: bad}
-    assert main(_argv(command, files, str(tmp_path / "out"))) == 66
+    assert main(_argv(command, files, str(tmp_path / "out"), neural=option == "checkpoint")) == 66
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.strip().splitlines()

@@ -572,6 +572,18 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_checkpoint(path)
 
+    def test_damaged_member_is_data_error(self, rng, tmp_path):
+        """A byte flipped inside the archive: np.load opens it and reading
+        an array raises zipfile.BadZipFile."""
+        v, m = tiny_model(rng)
+        path = tmp_path / "model.npz"
+        save_checkpoint(m, path)
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match="malformed checkpoint"):
+            load_checkpoint(path)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, a=np.zeros(3))

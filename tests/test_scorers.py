@@ -10,7 +10,9 @@ from cbsdecode import (
     CaptionModel,
     ContractError,
     DataError,
+    DecodeState,
     NGramModel,
+    Scorer,
     UniformScorer,
     Vocabulary,
     load_corpus,
@@ -252,6 +254,74 @@ def test_advance_row_equals_stepping_its_parent_alone(kind, seed, data):
         for i, (p, w) in enumerate(zip(parents, tokens)):
             assert_rows_bit_equal(nxt.take([i]), scorer.step(state.take([p]), w)[0])
         state = nxt
+
+
+class LogProbsScorer(Scorer):
+    """Rows looked up by the last token from a fixed table over four score
+    levels, one of them -inf, so rows tie heavily. It implements only the
+    abstract methods, so `top_k` comes from `Scorer`."""
+
+    def __init__(self, rng, size):
+        logits = rng.choice([0.0, -1.0, -2.0, -math.inf], size=(size + 1, size))
+        logits[:, 0] = 0.0
+        self.table = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        self._size = size
+
+    @property
+    def vocab_size(self):
+        return self._size
+
+    @property
+    def eos(self):
+        return self._size - 1
+
+    def initial_state(self, conditioning=None):
+        return DecodeState(self, [self.table[self._size]], (np.full(1, self._size),))
+
+    def _advance(self, state, tokens):
+        return DecodeState(self, list(self.table[tokens]), (tokens,))
+
+
+def reference_top_k(row, k, tokens):
+    """The contract of `top_k` for one row, by a Python sort."""
+    ids = sorted(range(row.shape[0]), key=lambda w: (-row[w], w))[:k]
+    return ids, [row[w] for w in ids], [row[w] for w in tokens]
+
+
+@given(
+    kind=st.sampled_from(["ngram-1", "ngram-2", "ngram-3", "uniform", "neural", "log-probs"]),
+    size=st.sampled_from([2, 6, 40, 97]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_top_k_equals_a_per_row_computation(kind, size, seed):
+    """`top_k` on random batches, for rising and falling k and random token
+    sets, gives the ids, scores and token scores that sorting each row of
+    `log_probs` gives. The n-gram models see a few short sentences, so most
+    of a row is one floor value; k from 1 to |V| covers the strided bound
+    and the full sort."""
+    rng = np.random.default_rng(seed)
+    v = make_vocab(size)
+    if kind.startswith("ngram"):
+        scorer = random_ngram(rng, v, order=int(kind[-1]), sentences=int(rng.integers(1, 6)))
+    elif kind == "uniform":
+        scorer = UniformScorer(size)
+    elif kind == "neural":
+        scorer = CaptionModel.build(v, rng.normal(size=(5, size)), 4, 2, rng=rng, init_scale=0.5)
+    else:
+        scorer = LogProbsScorer(rng, size)
+    state = scorer.initial_state()
+    for _ in range(4):
+        b = int(rng.integers(1, 9))
+        state = scorer.advance(state, rng.integers(0, len(state), size=b), rng.integers(0, size, size=b))
+        for k in rng.integers(1, size + 1, size=3).tolist():
+            tokens = np.sort(rng.choice(size, size=int(rng.integers(0, size + 1)), replace=False))
+            ids, scores, token_scores = scorer.top_k(state, k, tokens)
+            assert ids.shape == scores.shape == (b, k) and token_scores.shape == (b, len(tokens))
+            for i, row in enumerate(state.log_probs):
+                want = reference_top_k(row, k, tokens.tolist())
+                assert ids[i].tolist() == want[0]
+                assert scores[i].tolist() == want[1] and token_scores[i].tolist() == want[2]
 
 
 class TestPersistence:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from cbsdecode import (
     DecodeError,
     DisjunctiveConstraints,
     Fsm,
+    NGramModel,
     PhraseConstraint,
     SearchParams,
     Vocabulary,
@@ -652,6 +655,50 @@ class TestArrayBeamEquivalence:
         want, want_steps = reference_run_search(scorer, fsm, params)
         assert steps == want_steps
         assert _beam_records(got) == _beam_records(want)
+
+
+# what a copy of an NGramModel keeps: its counts and the context behind each
+# id; every decode cache is left out and rebuilt
+NGRAM_PERSISTED = {"order", "alpha", "vocab", "context_counts", "continuations", "_contexts"}
+
+
+@given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_one_ngram_model_serves_many_searches(seed, order):
+    """One n-gram model decodes a run of machines whose beams ask for rising
+    and falling k, so its context ids, rows and ranked top-k carry from one
+    search into the next. Every search's beams equal, to the bit, those of a
+    fresh model and of the reference loop; so do those of a deep copy and a
+    pickle of the used model, which drop its caches and keep its context
+    ids, so a deep-copied decode state steps as the original does."""
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(12, 48))
+    v = make_vocab(size)
+    shared = random_ngram(rng, v, order=order, sentences=int(rng.integers(2, 30)))
+    dump = shared.to_dict()
+
+    def check(model, beam):
+        fsm = _random_machine(rng, str(rng.choice(["disjunction", "phrase", "product"])), size)
+        params = SearchParams(beam_size=beam, max_len=int(rng.integers(2, 7)))
+        got, steps = _run_search(model, fsm, params)
+        fresh, fresh_steps = _run_search(NGramModel.from_dict(dump), fsm, params)
+        want, want_steps = reference_run_search(model, fsm, params)
+        assert steps == fresh_steps == want_steps
+        assert _beam_records(got) == _beam_records(fresh) == _beam_records(want)
+
+    for beam in (1, 5, 2, 4, 1, 3):
+        check(shared, beam)
+    state = shared.initial_state()
+    for w in rng.integers(0, size, size=3).tolist():
+        state, _ = shared.step(state, w)
+    kept = shared.__getstate__()
+    assert set(kept) == NGRAM_PERSISTED and kept["_contexts"] == shared._contexts
+    for twin in (copy.deepcopy(shared), pickle.loads(pickle.dumps(shared))):
+        for beam in (4, 1, 5):
+            check(twin, beam)
+    twin_state = copy.deepcopy(state)
+    w = int(rng.integers(size))
+    assert shared.step(state, w)[1].tobytes() == twin_state.owner.step(twin_state, w)[1].tobytes()
 
 
 def _narrow_beam_instance(seed):
