@@ -71,23 +71,20 @@ def _is_npz(path: str) -> bool:
         return fh.read(2) == b"PK"
 
 
-def _load_model(path: str):
-    """Load either scorer kind by sniffing the container format."""
-    if _is_npz(path):
-        return neural.load_checkpoint(path)
-    return scorers.NGramModel.load(path)
+def _load_model(path: str, kind: str | None = None):
+    """Load the model that `--scorer kind` reads. Where a command takes either
+    kind (`compile`, `--scorer uniform`), sniff the container format."""
+    if kind not in ("ngram", "neural"):
+        kind = "neural" if _is_npz(path) else "ngram"
+    return neural.load_checkpoint(path) if kind == "neural" else scorers.NGramModel.load(path)
 
 
 def _resolve_scorer(kind: str, model_path: str | None) -> tuple[scorers.Scorer, Vocabulary]:
     if model_path is None:
         raise ConfigError(f"--scorer {kind} requires --model")
-    model = _load_model(model_path)
+    model = _load_model(model_path, kind)
     if kind == "uniform":
         return scorers.UniformScorer(len(model.vocab), eos=model.vocab.eos), model.vocab
-    if kind == "ngram" and not isinstance(model, scorers.NGramModel):
-        raise ConfigError(f"{model_path} is not an n-gram model")
-    if kind == "neural" and not isinstance(model, neural.CaptionModel):
-        raise ConfigError(f"{model_path} is not a neural checkpoint")
     return model, model.vocab
 
 

@@ -12,7 +12,6 @@ successor plus an exception map for the tokens that matter to the constraint.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -228,7 +227,9 @@ class Fsm:
             col = np.full(self.vocab_size, len(tokens))
             col[tokens] = np.arange(len(tokens))
             dest = np.array([[row.get(w, -1) for w in tokens] for row in self.rows], dtype=np.int64)
-            widest = max((max(Counter(row.values()).values()) for row in self.rows if row), default=0)
+            listed = np.nonzero(dest >= 0)
+            pairs = listed[0] * self.num_states + dest[listed]  # (state, destination) keys
+            widest = int(np.unique(pairs, return_counts=True)[1].max(initial=0))
             table = RouteTable(np.array(tokens, dtype=np.int64), dest, col, widest)
             for a in table[:3]:
                 a.flags.writeable = False

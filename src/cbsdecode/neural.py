@@ -35,9 +35,10 @@ GATES = ("i", "f", "o", "c")
 
 # BLAS picks a GEMM's kernel, and so the bits of each row and column, from its
 # shape. Decode-time GEMMs get shapes that keep a row's bits independent of its
-# batch and of |V|. Rows are zero-padded to a multiple of ROWS: a lone row takes
-# GEMV. A GEMM runs over all the rows at once only when it is a whole number of
-# TILE columns wide, so w_e's last tile is zero-padded to TILE columns. Any other
+# batch and of |V|. Rows are zero-padded up to ROWS, never past it: a lone row
+# takes GEMV. A GEMM runs over all the rows at once when it is a whole number of
+# TILE columns wide; the tied projection runs over w_e's whole groups of 8
+# columns and over its last |V| mod 8 columns, zero-padded to 8. Any other
 # width runs ROWS rows at a time: a GEMM's last N mod 8 columns, and every
 # column of a small one, can get bits that change with its row count.
 ROWS = 8
@@ -118,17 +119,19 @@ def _gate_cell(z: np.ndarray, c_prev: np.ndarray):
     return z[..., 2 * n : 3 * n] * tc, c, tc
 
 
-def _padded(a: np.ndarray) -> np.ndarray:
-    return np.concatenate([a, np.zeros((-len(a) % ROWS, a.shape[1]))])
+def _padded(a: np.ndarray, rows: int) -> np.ndarray:
+    """`a` with zero rows appended up to `rows` rows."""
+    return np.concatenate([a, np.zeros((rows - len(a), a.shape[1]))]) if len(a) < rows else a
 
 
 def _row_gemm(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """`a @ w`, each row with the bits it gets alone (see ROWS): one GEMM over
-    the zero-padded rows of `a` when `w` is a whole number of TILE columns
-    wide, else one (ROWS x K) @ (K x M) GEMM per block of rows."""
-    rows, a = len(a), _padded(a)
+    the rows of `a`, zero-padded up to ROWS, when `w` is a whole number of TILE
+    columns wide, else one (ROWS x K) @ (K x M) GEMM per block of rows."""
+    rows = len(a)
     if w.shape[1] % TILE == 0:
-        return (a @ w)[:rows]
+        return (_padded(a, ROWS) @ w)[:rows]
+    a = _padded(a, rows + -rows % ROWS)
     out = np.empty((len(a), w.shape[1]))
     for lo in range(0, len(a), ROWS):
         np.matmul(a[lo : lo + ROWS], w, out=out[lo : lo + ROWS])
@@ -303,18 +306,19 @@ class CaptionModel(Scorer):
 
     def _tied_logits(self, h2: np.ndarray) -> np.ndarray:
         """Decode-time tied output layer: (B x |V|) logits of B top-layer states.
-        The padded v takes one GEMM over a view of w_e's whole TILE-column
-        tiles and one over its last tile, zero-padded on each call: an
-        attribute holding part of w_e is copied by deep copies."""
-        v = _padded(np.tanh(_row_gemm(h2, self.w_v.T) + self.b_v))
+        v, zero-padded up to ROWS rows, takes one GEMM over a view of w_e's
+        whole groups of 8 columns and one over its last |V| mod 8 columns,
+        zero-padded to 8 (see ROWS), both written into one (rows x |V|) block."""
+        v = _padded(np.tanh(_row_gemm(h2, self.w_v.T) + self.b_v), ROWS)
         d, cols = self.w_e.shape
-        whole = cols - cols % TILE
-        logits = np.empty((len(v), cols + -cols % TILE))
+        whole = cols - cols % 8
+        logits = np.empty((len(v), cols))
         np.matmul(v, self.w_e[:, :whole], out=logits[:, :whole])
         if whole < cols:
-            tail = np.hstack([self.w_e[:, whole:], np.zeros((d, whole + TILE - cols))])
-            np.matmul(v, tail, out=logits[:, whole:])
-        return logits[: len(h2), :cols]
+            tail = np.zeros((d, 8))
+            tail[:, : cols - whole] = self.w_e[:, whole:]
+            logits[:, whole:] = (v @ tail)[:, : cols - whole]
+        return logits[: len(h2)]
 
     def output_logits(self, state: DecodeState) -> np.ndarray:
         """Raw tied-output logits (B x |V|) pending at the rows of `state`
@@ -324,7 +328,8 @@ class CaptionModel(Scorer):
     def _step_rows(self, x, h1, c1, h2, c2, cond) -> DecodeState:
         """The decode step of B hypotheses, given their inputs x and rows
         (h1, c1, h2, c2, cond) as (B x .) arrays; each row's bits depend
-        neither on B nor on its place."""
+        neither on B nor on its place. The state's `log_probs` are one
+        read-only (B x |V|) block."""
         z1 = _row_gemm(np.hstack([x, h1]), self.layer1.w.T) + self.layer1.b
         h1, c1, _ = _gate_cell(z1, c1)
         z2 = _row_gemm(np.hstack([h1, cond, h2]), self.layer2.w.T) + self.layer2.b
@@ -333,7 +338,7 @@ class CaptionModel(Scorer):
         if not np.isfinite(logp).all():
             raise NumericError("model emitted a non-finite log distribution")
         logp.flags.writeable = False
-        return DecodeState(self, list(logp), (h1, c1, h2, c2, cond))
+        return DecodeState(self, logp, (h1, c1, h2, c2, cond))
 
     def _check_conditioning(self, conditioning) -> np.ndarray:
         if conditioning is None:

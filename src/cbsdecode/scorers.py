@@ -32,8 +32,9 @@ NGRAM_VERSION = 1
 
 class DecodeState:
     """A batch of B decode states. `log_probs[i]` is the read-only natural-log
-    distribution over the NEXT token of row i; `rows` holds the owner's own
-    (B x .) arrays, gathered together by `take`."""
+    distribution over the NEXT token of row i: a sequence of 1-D rows, or one
+    (B x |V|) block, as the neural scorer's step makes it. `rows` holds the
+    owner's own (B x .) arrays, gathered together by `take`."""
 
     __slots__ = ("owner", "log_probs", "rows")
 
@@ -123,9 +124,10 @@ class Scorer(ABC):
         """`(ids, scores, token_scores)` for the rows of `state`: the (B x k)
         ids of each row's k best tokens, exactly ordered by (score desc, token
         asc), their (B x k) scores, and the rows' (B x len(tokens)) scores at
-        `tokens`; 1 <= k <= |V|. Read from `log_probs`; a scorer may override
-        it with caches of its own that give the same values."""
-        rows = np.array(state.log_probs, dtype=np.float64).reshape(len(state), self.vocab_size)
+        `tokens`; 1 <= k <= |V|. Read from `log_probs`, in place when they are
+        one (B x |V|) block; a scorer may override it with caches of its own
+        that give the same values."""
+        rows = np.asarray(state.log_probs, dtype=np.float64).reshape(len(state), self.vocab_size)
         ids = _top_ids(rows, k)
         return ids, np.take_along_axis(rows, ids, axis=1), rows[:, tokens]
 

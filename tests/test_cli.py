@@ -585,13 +585,13 @@ def test_valid_files_run(valid_files, tmp_path, capsys, command):
 
 
 # (command, "checkpoint", defect, the slice of a valid checkpoint's bytes,
-# what the message must say). `decode` reads a file that does not start
-# with the zip magic as an n-gram JSON dump
+# what the message must say). `decode --scorer neural` reads its model as a
+# checkpoint whatever its first bytes are
 CHECKPOINT_DEFECTS = [
     ("expand", "checkpoint", "truncated checkpoint", slice(0, 100), "cannot read checkpoint"),
     ("expand", "checkpoint", "empty checkpoint", slice(0, 0), "cannot read checkpoint"),
     ("decode", "checkpoint", "truncated checkpoint", slice(0, 100), "cannot read checkpoint"),
-    ("decode", "checkpoint", "empty checkpoint", slice(0, 0), "invalid JSON"),
+    ("decode", "checkpoint", "empty checkpoint", slice(0, 0), "cannot read checkpoint"),
 ]
 
 MALFORMED_FILES = (
@@ -630,3 +630,18 @@ def test_malformed_file_is_data_error(
     payload = json.loads(lines[0])["error"]
     assert payload["category"] == "data" and payload["exit_code"] == 66
     assert str(bad) in payload["message"] and says in payload["message"]
+
+
+@pytest.mark.parametrize("scorer, option, says", [
+    ("neural", "model", "cannot read checkpoint"),
+    ("ngram", "checkpoint", "not UTF-8"),
+])
+def test_model_of_the_other_kind_is_data_error(valid_files, tmp_path, capsys, scorer, option, says):
+    """`decode` loads `--model` as the kind `--scorer` names, so a model file
+    of the other kind is a data error about that file."""
+    path = str(valid_files[option])
+    argv = ["decode", "--scorer", scorer, "--model", path, "--inputs", str(valid_files["inputs"]),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 66
+    payload = json.loads(capsys.readouterr().err)["error"]
+    assert path in payload["message"] and says in payload["message"]

@@ -1,5 +1,7 @@
+import functools
 import json
 import logging
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -265,6 +267,20 @@ class TestIntersect:
         for w in (0, 1, 2):
             state = product.step(state, w)
         assert product.progress[state] == 3
+
+
+class TestRouteTable:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_widest_is_the_most_tokens_one_state_sends_to_one_destination(self, data):
+        vocab_size = data.draw(st.integers(1, 9))
+        machines = data.draw(st.lists(constraint_machines(vocab_size), min_size=1, max_size=3))
+        machine = functools.reduce(intersect, machines)
+        want = max((max(Counter(row.values()).values()) for row in machine.rows if row), default=0)
+        assert machine.route_table().widest == want
+
+    def test_widest_is_zero_without_listed_tokens(self):
+        assert trivial_fsm(4).route_table().widest == 0
 
 
 class TestStepAndRecognizes:

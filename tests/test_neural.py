@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from cbsdecode.neural import (
     train,
 )
 from conftest import make_vocab, stack_states
-from oracles import reference_step_rows
+from oracles import _ref_blocked, reference_step_rows, reference_tied_logits
 from test_scorers import scorer_contract_checks
 
 
@@ -673,12 +674,13 @@ class TestBatchedStep:
     |V|. OpenBLAS 0.3.31 with its SkylakeX kernels picks a GEMM's kernel from
     its shape and thread count, so `advance` pads every GEMM to a safe shape
     (see `neural.ROWS`):
-    - every GEMM runs over rows zero-padded to a multiple of ROWS, since a
-      lone row takes GEMV;
-    - a GEMM a whole number of TILE columns wide runs over all the rows at
-      once: the tied projection over w_e's whole tiles and over its last
-      tile, zero-padded to TILE columns, and at the neural-novel shapes
-      both LSTM layers (4 x 128 columns);
+    - every GEMM runs over rows zero-padded up to ROWS, since a lone row
+      takes GEMV;
+    - a GEMM a whole number of TILE columns wide, such as both LSTM layers
+      at the neural-novel shapes (4 x 128 columns), runs over all the rows
+      at once;
+    - the tied projection runs over all the rows, on w_e's whole groups of
+      8 columns and on its last |V| mod 8 columns, zero-padded to 8;
     - any other width, such as `w_v` (300 columns) or the LSTM layers of
       small models, runs one ROWS-row block at a time, since a GEMM's last
       N mod 8 columns, and every column of a small GEMM, get bits that
@@ -747,3 +749,75 @@ class TestBatchedStep:
             parents = [i % len(old) for i in range(len(tokens))]
             old = m.advance(old, parents, tokens)
             new = big.advance(new, parents, tokens)
+
+    # every residue of |V| mod 8, at one tile and at the bench's ten tiles
+    @pytest.mark.parametrize("size", [*range(512, 520), *range(5064, 5072)])
+    @pytest.mark.parametrize("d", [20, 300])
+    def test_tied_logits_bit_equal_to_reference_at_every_tail_width(self, d, size):
+        # w_e's whole groups of 8 columns plus its zero-padded tail, rows padded
+        # only up to ROWS, give the bits of one 8-row block per 512-column tile
+        m = random_decode_model(d, 6, 2, size, seed=size + d)
+        rng = np.random.default_rng(size)
+        for b in [*range(1, 5 * ROWS + 2), 200, 737]:
+            h2 = rng.uniform(-1, 1, size=(b, m.hidden_size))
+            assert m._tied_logits(h2).tobytes() == reference_tied_logits(m, h2).tobytes(), b
+
+    def test_whole_tile_lstm_gemms_bit_equal_to_blocked(self):
+        m = wide_model("bench", 5064)
+        rng = np.random.default_rng(7)
+        for w in (m.layer1.w.T, m.layer2.w.T):
+            assert w.shape[1] % neural.TILE == 0
+            for b in range(1, 5 * ROWS + 2):
+                a = rng.normal(size=(b, w.shape[0]))
+                assert neural._row_gemm(a, w).tobytes() == _ref_blocked(a, w).tobytes(), b
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("test, count", [
+        ("test_tied_logits_bit_equal_to_reference_at_every_tail_width", 32),
+        ("test_whole_tile_lstm_gemms_bit_equal_to_blocked", 1),
+    ])
+    def test_true_width_shapes_at_blas_thread_count(self, test, count, threads):
+        assert f"{count} passed" in run_at_blas_threads(threads, f"TestBatchedStep::{test}")
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that numpy and Python allocate during `fn(*args)`."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStepCopies:
+    """The decode step writes its logits into one (B x |V|) block, keeps its
+    log-prob block as the state's `log_probs`, and `top_k` and `take` read
+    that block without copying it."""
+
+    B = 13  # the rows of a typical neural-novel step
+
+    def bench_step(self):
+        m = wide_model("bench", 5064)
+        rng = np.random.default_rng(11)
+        states = stack_states([m.initial_state(rng.normal(size=m.cond_dim)) for _ in range(self.B)])
+        return m, m.advance(states, range(self.B), rng.integers(0, m.vocab_size, size=self.B))
+
+    def test_tied_logits_peak_below_one_and_a_half_blocks(self):
+        m = wide_model("bench", 5064)
+        h2 = np.random.default_rng(3).uniform(-1, 1, size=(self.B, m.hidden_size))
+        block = self.B * m.vocab_size * 8
+        assert traced_peak(m._tied_logits, h2) < 1.5 * block
+
+    def test_top_k_allocates_less_than_the_block(self):
+        m, state = self.bench_step()
+        tokens = np.arange(0, m.vocab_size, 700)
+        assert traced_peak(m.top_k, state, 11, tokens) < self.B * m.vocab_size * 8
+
+    def test_take_shares_the_distribution_rows(self):
+        _, state = self.bench_step()
+        parents = [3, 0, 12, 3]
+        kept = state.take(parents)
+        for row, p in zip(kept.log_probs, parents):
+            assert np.shares_memory(row, state.log_probs)
+            assert row.tobytes() == state.log_probs[p].tobytes()
