@@ -7,7 +7,6 @@ from .embeddings import (
     ExpansionRecord,
     expand_vocab,
     load_embeddings,
-    nearest_neighbors,
 )
 from .errors import (
     CapacityError,
@@ -106,7 +105,6 @@ __all__ = [
     "load_corpus",
     "load_embeddings",
     "macro_f1",
-    "nearest_neighbors",
     "ngram_train",
     "satisfaction_rate",
     "save_checkpoint",

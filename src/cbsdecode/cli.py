@@ -66,16 +66,23 @@ def cli():
 # model / scorer loading
 
 
-def _is_npz(path: str) -> bool:
+def _model_kind(path: str) -> str | None:
+    """The `--scorer` kind a file's first bytes show: a neural checkpoint is a
+    zip archive, an n-gram model a JSON object."""
     with open(path, "rb") as fh:
-        return fh.read(2) == b"PK"
+        head = fh.read(2)
+    return "neural" if head == b"PK" else "ngram" if head[:1] == b"{" else None
 
 
 def _load_model(path: str, kind: str | None = None):
-    """Load the model that `--scorer kind` reads. Where a command takes either
-    kind (`compile`, `--scorer uniform`), sniff the container format."""
+    """Load the model that `--scorer kind` reads; a file that is plainly the
+    other kind is a data error. Where a command takes either kind (`compile`,
+    `--scorer uniform`), the file's first bytes choose."""
+    found = _model_kind(path)
     if kind not in ("ngram", "neural"):
-        kind = "neural" if _is_npz(path) else "ngram"
+        kind = found or "ngram"
+    elif found not in (None, kind):
+        raise DataError(f"{path} is a model for --scorer {found}, not --scorer {kind}")
     return neural.load_checkpoint(path) if kind == "neural" else scorers.NGramModel.load(path)
 
 
@@ -333,12 +340,12 @@ def _read_conditioning(path: str | None, count: int, cond_dim: int) -> list[np.n
 @click.argument("corpus", type=click.Path(exists=True, dir_okay=False))
 @click.option("--embeddings", "embeddings_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--conditioning", type=click.Path(exists=True, dir_okay=False))
-@click.option("--hidden", default=32, show_default=True)
+@click.option("--hidden", default=32, show_default=True, type=click.IntRange(min=1))
 @click.option("--cond-dim", default=2, show_default=True)
 @click.option("--epochs", default=200, show_default=True)
 @click.option("--lr", default=0.3, show_default=True)
 @click.option("--batch-size", default=1, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def train_lm(corpus, embeddings_path, conditioning, hidden, cond_dim, epochs, lr, batch_size, seed, out):
     """Train the caption LSTM on a plain-text corpus with frozen file-supplied

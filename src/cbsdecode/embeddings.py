@@ -89,15 +89,6 @@ def load_embeddings(path, needed: Iterable[str] | None = None) -> tuple[Embeddin
     return table, missing
 
 
-def save_embeddings(table: EmbeddingTable, path) -> None:
-    """Inverse of load_embeddings; floats are written with full round-trip
-    precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for word in sorted(table.vectors):
-            values = " ".join(repr(float(x)) for x in table.vectors[word])
-            fh.write(f"{word} {values}\n")
-
-
 def embedding_matrix(vocab: Vocabulary, table: EmbeddingTable) -> np.ndarray:
     """Stack the table's vectors as columns in vocabulary order. Words missing
     from the table are a hard error: silently substituting random vectors
@@ -175,20 +166,3 @@ def load_expansion_manifest(path) -> list[str]:
                 raise DataError(f"manifest entry missing 'word': {entry!r}")
     return [str(entry["word"]).lower() for entry in data]
 
-
-def nearest_neighbors(t: EmbeddingTable, word: str, k: int) -> list[tuple[str, float]]:
-    """Top-k table words by cosine similarity to `word`, excluding the query.
-    Deterministic: ties are broken lexicographically. Zero vectors have
-    similarity 0 to everything."""
-    query = t[word]
-    qnorm = float(np.linalg.norm(query))
-    out = []
-    for other in t.vectors:
-        if other == word.lower():
-            continue
-        vec = t.vectors[other]
-        denom = qnorm * float(np.linalg.norm(vec))
-        sim = float(query @ vec / denom) if denom > 0 else 0.0
-        out.append((other, sim))
-    out.sort(key=lambda pair: (-pair[1], pair[0]))
-    return out[:k]

@@ -260,27 +260,6 @@ class Fsm:
             "transitions": transitions,
         }
 
-    @classmethod
-    def from_dump(cls, data: Mapping) -> "Fsm":
-        """Rebuild from :meth:`dump` output; omitted transitions are self-loops."""
-        try:
-            num_states = data["num_states"]
-            vocab_size = data["vocab_size"]
-            rows: list[dict[int, int]] = [{} for _ in range(num_states)]
-            for s, w, nxt in data["transitions"]:
-                rows[s][w] = nxt
-            return cls(
-                num_states=num_states,
-                start=data["start"],
-                accepting=data["accepting"],
-                vocab_size=vocab_size,
-                defaults=list(range(num_states)),
-                rows=rows,
-                progress=data.get("progress"),
-            )
-        except (KeyError, TypeError, IndexError) as e:
-            raise DataError(f"malformed FSM dump: {e}") from e
-
     def __repr__(self) -> str:
         return (
             f"Fsm(states={self.num_states}, start={self.start}, "
@@ -293,17 +272,15 @@ def trivial_fsm(vocab_size: int) -> Fsm:
     return Fsm(1, 0, {0}, vocab_size, defaults=[0], rows=[{}])
 
 
-def compile_disjunctions(
-    c: DisjunctiveConstraints, vocab_size: int, max_sets: int = MAX_DISJUNCTIONS
-) -> Fsm:
+def compile_disjunctions(c: DisjunctiveConstraints, vocab_size: int) -> Fsm:
     """One state per subset of satisfied disjunctions (state = bitmask).
 
     Start is the empty mask, the full mask accepts. Reading a token belonging
     to set i sets bit i; bits never clear. Tokens outside every set self-loop.
     """
     m = len(c)
-    if m > max_sets:
-        raise CapacityError(f"{m} disjunction sets would need 2^{m} beams (cap {max_sets})")
+    if m > MAX_DISJUNCTIONS:
+        raise CapacityError(f"{m} disjunction sets would need 2^{m} beams (cap {MAX_DISJUNCTIONS})")
     bits: dict[int, int] = {}
     for i, d in enumerate(c.disjunctions):
         _check_token_ids(d, vocab_size)
@@ -423,12 +400,12 @@ def intersect(a: Fsm, b: Fsm, max_states: int = MAX_PRODUCT_STATES) -> Fsm:
     )
 
 
-def intersect_all(machines: Sequence[Fsm], max_states: int = MAX_PRODUCT_STATES) -> Fsm:
+def intersect_all(machines: Sequence[Fsm]) -> Fsm:
     if not machines:
         raise ConstraintError("nothing to intersect")
     out = machines[0]
     for m in machines[1:]:
-        out = intersect(out, m, max_states=max_states)
+        out = intersect(out, m)
     return out
 
 
@@ -438,10 +415,6 @@ class ConstraintSpec:
 
     disjunctions: DisjunctiveConstraints
     phrases: list[PhraseConstraint] = field(default_factory=list)
-
-    @property
-    def empty(self) -> bool:
-        return not self.disjunctions.disjunctions and not self.phrases
 
 
 def parse_constraint_spec(

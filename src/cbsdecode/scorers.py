@@ -193,8 +193,8 @@ class NGramModel(Scorer):
     def __init__(self, order: int, alpha: float, vocab: Vocabulary):
         if order < 1:
             raise DataError(f"n-gram order must be >= 1, got {order}")
-        if not alpha > 0:
-            raise DataError(f"smoothing constant must be > 0, got {alpha}")
+        if not 0 < alpha < float("inf"):
+            raise DataError(f"smoothing constant must be finite and > 0, got {alpha}")
         self.order = order
         self.alpha = float(alpha)
         self.vocab = vocab

@@ -97,9 +97,11 @@ def _run_search(
     fsm: Fsm,
     params: SearchParams,
     conditioning: np.ndarray | None = None,
-) -> tuple[list[list[Hypothesis]], int]:
-    """Multi-beam decode loop. Returns the final beams (one per FSM state,
-    best-first) and the steps taken.
+) -> tuple[tuple, tuple, int]:
+    """Multi-beam decode loop. Returns the final live hypotheses as arrays of
+    FSM state, logprob and a token matrix (one row each); the completed ones
+    as a list of token tuples and arrays of FSM state and logprob; and the
+    steps taken. Both parts are grouped by beam, each beam best-first.
 
     Each timestep works on arrays over every live hypothesis at once, and
     asks the scorer once, through `top_k`, for every live row's best k tokens
@@ -185,26 +187,26 @@ def _run_search(
         lex = rank[par] * v + w
         nd = len(finished)
         pool_d = np.concatenate([done_state, d])
+        pool_lp = np.concatenate([done_lp, lp])
         order = np.lexsort((
             np.concatenate([np.arange(-nd, 0), lex]),
-            -np.concatenate([done_lp, lp]),
+            -pool_lp,
             pool_d,
         ))
         sd = pool_d[order]
         kept = order[np.arange(order.shape[0]) - np.searchsorted(sd, sd) < b]
 
-        old = kept[kept < nd]
-        c = kept[kept >= nd] - nd
-        fin = w[c] == eos
-        new = c[fin]
-        finished = [finished[i] for i in old.tolist()]
-        finished += [tuple(tokens[i].tolist()) + (eos,) for i in par[new].tolist()]
-        done_state = np.concatenate([done_state[old], d[new]])
-        done_lp = np.concatenate([done_lp[old], lp[new]])
+        # the kept completed hypotheses, old and new, in kept order: each
+        # beam's best first
+        is_done = np.concatenate([np.ones(nd, dtype=bool), w == eos])
+        done = kept[is_done[kept]]
+        finished = [finished[i] if i < nd else tuple(tokens[par[i - nd]].tolist()) + (eos,)
+                    for i in done.tolist()]
+        done_state, done_lp = pool_d[done], pool_lp[done]
 
         # the kept live candidates, beam by beam and best first, advanced in
         # one scorer call
-        grow = c[~fin]
+        grow = kept[~is_done[kept]] - nd
         parents = par[grow]
         states = scorer.advance(states, parents, w[grow])
         fsm_state, logprob = d[grow], lp[grow]
@@ -219,23 +221,7 @@ def _run_search(
         if acc.any() and (frontier == _NEG_INF or done_lp[acc].max() > frontier):
             break
 
-    beams: list[list[Hypothesis]] = [[] for _ in range(fsm.num_states)]
-    for s, lp_, toks in zip(fsm_state.tolist(), logprob.tolist(), tokens.tolist()):
-        beams[s].append(Hypothesis(tuple(toks), lp_, s))
-    for toks, s, lp_ in zip(finished, done_state.tolist(), done_lp.tolist()):
-        beams[s].append(Hypothesis(toks, lp_, s, completed=True))
-    for beam in beams:
-        beam.sort(key=Hypothesis.sort_key)
-    return beams, steps
-
-
-def _assemble_result(beams: list[list[Hypothesis]], fsm: Fsm) -> DecodeResult:
-    per_state_best: dict[int, Hypothesis] = {}
-    for s, beam in enumerate(beams):
-        completed = [h for h in beam if h.completed]
-        if completed:
-            per_state_best[s] = min(completed, key=Hypothesis.sort_key)
-    return _result_from_per_state(per_state_best, fsm)
+    return (fsm_state, logprob, tokens), (finished, done_state, done_lp), steps
 
 
 def _result_from_per_state(per_state_best: dict[int, Hypothesis], fsm: Fsm) -> DecodeResult:
@@ -270,8 +256,14 @@ def constrained_beam_search(
     Deterministic: ties are broken by (logprob desc, length asc,
     lexicographic token ids).
     """
-    beams, _ = _run_search(scorer, fsm, params, conditioning)
-    return _assemble_result(beams, fsm)
+    _, (finished, done_state, done_lp), _ = _run_search(scorer, fsm, params, conditioning)
+    # each state's completed hypotheses stand best first: its first is its best
+    states, first = np.unique(done_state, return_index=True)
+    per_state_best = {
+        s: Hypothesis(finished[i], float(done_lp[i]), s, completed=True)
+        for s, i in zip(states.tolist(), first.tolist())
+    }
+    return _result_from_per_state(per_state_best, fsm)
 
 
 def beam_search(

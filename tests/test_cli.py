@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import logging
 import math
@@ -633,8 +635,8 @@ def test_malformed_file_is_data_error(
 
 
 @pytest.mark.parametrize("scorer, option, says", [
-    ("neural", "model", "cannot read checkpoint"),
-    ("ngram", "checkpoint", "not UTF-8"),
+    ("neural", "model", "is a model for --scorer ngram, not --scorer neural"),
+    ("ngram", "checkpoint", "is a model for --scorer neural, not --scorer ngram"),
 ])
 def test_model_of_the_other_kind_is_data_error(valid_files, tmp_path, capsys, scorer, option, says):
     """`decode` loads `--model` as the kind `--scorer` names, so a model file
@@ -645,3 +647,102 @@ def test_model_of_the_other_kind_is_data_error(valid_files, tmp_path, capsys, sc
     assert main(argv) == 66
     payload = json.loads(capsys.readouterr().err)["error"]
     assert path in payload["message"] and says in payload["message"]
+
+
+def _one_error_object(err: str) -> dict:
+    """The error payload of a failed run: stderr holds exactly one JSON
+    object and no traceback."""
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("option, value", [("--hidden", "0"), ("--hidden", "-1"), ("--seed", "-1")])
+def test_train_lm_out_of_range_value_is_config_error(valid_files, tmp_path, capsys, option, value):
+    argv = _argv("train-lm", valid_files, str(tmp_path / "lm.npz")) + [option, value]
+    assert main(argv) == 65
+    payload = _one_error_object(capsys.readouterr().err)
+    assert payload["category"] == "config" and option in payload["message"]
+    assert not (tmp_path / "lm.npz").exists()
+
+
+@pytest.mark.parametrize("entry", ["train-ngram --alpha inf", "n-gram dump with alpha 1e999"])
+def test_infinite_alpha_is_data_error(workdir, tmp_path, capsys, entry):
+    """An infinite smoothing constant makes every log-probability NaN, so
+    both ways to reach one end in exit 66."""
+    out = tmp_path / "out"
+    if entry.startswith("train-ngram"):
+        argv = ["train-ngram", str(workdir / "corpus.txt"), "--alpha", "inf", "--out", str(out)]
+    else:
+        text = (workdir / "model.json").read_text(encoding="utf-8")
+        assert '"alpha": 0.5,' in text
+        bad = tmp_path / "model.json"
+        bad.write_text(text.replace('"alpha": 0.5,', '"alpha": 1e999,'), encoding="utf-8")
+        argv = ["decode", "--model", str(bad), "--out", str(out)]
+    assert main(argv) == 66
+    payload = _one_error_object(capsys.readouterr().err)
+    assert payload["category"] == "data" and "smoothing constant" in payload["message"]
+    assert not out.exists()
+
+
+# any JSON value: what a mutation puts in place of a document, a line or a field
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated(draw, valid: bytes) -> bytes:
+    """`valid` emptied, truncated at a drawn byte, or with the whole document,
+    one line, or one field of a JSON line replaced by a drawn JSON value."""
+    kind = draw(st.sampled_from(["empty", "truncated", "document", "line", "field"]))
+    if kind == "empty":
+        return b""
+    if kind == "truncated":
+        return valid[: draw(st.integers(0, len(valid) - 1))]
+    value = draw(_JSON_VALUES)
+    if kind == "document":
+        return json.dumps(value).encode()
+    lines = valid.decode("utf-8").splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    try:
+        obj = json.loads(lines[i])
+    except json.JSONDecodeError:
+        obj = None
+    if kind == "field" and isinstance(obj, dict) and obj:
+        obj[draw(st.sampled_from(sorted(obj)))] = value
+    elif kind == "field" and isinstance(obj, list) and obj:
+        obj[draw(st.integers(0, len(obj) - 1))] = value
+    else:
+        obj = value
+    lines[i] = json.dumps(obj)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutations")
+
+
+@pytest.mark.parametrize(
+    "command, option", TEXT_FILE_OPTIONS, ids=[f"{c}-{o}" for c, o in TEXT_FILE_OPTIONS]
+)
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_mutated_file_ends_in_a_known_exit(valid_files, mutation_dir, command, option, data):
+    """Every file a command reads, mutated: the run succeeds or fails with
+    exit 65, 66 or 70 and one JSON error object on stderr, never a
+    traceback."""
+    bad = mutation_dir / option
+    bad.write_bytes(data.draw(_mutated(valid_files[option].read_bytes()), label="content"))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(_argv(command, {**valid_files, option: bad}, str(mutation_dir / "out")))
+    assert code in (0, 65, 66, 70)
+    if code:
+        assert _one_error_object(err.getvalue())["exit_code"] == code

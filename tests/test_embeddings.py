@@ -11,7 +11,6 @@ from cbsdecode import (
     constrained_beam_search,
     expand_vocab,
     load_embeddings,
-    nearest_neighbors,
 )
 from cbsdecode.embeddings import (
     ExpansionRecord,
@@ -19,7 +18,6 @@ from cbsdecode.embeddings import (
     build_caption_model,
     embedding_matrix,
     load_expansion_manifest,
-    save_embeddings,
 )
 from cbsdecode.neural import CaptionModel
 from conftest import make_vocab
@@ -63,11 +61,11 @@ class TestLoadEmbeddings:
         words = [f"word{i}" for i in range(50)]
         table = EmbeddingTable(8, {w: rng.normal(size=8) for w in words})
         path = tmp_path / "vec.txt"
-        save_embeddings(table, path)
+        write_table(path, [(w, [repr(float(x)) for x in table[w]]) for w in words])
         reloaded, _ = load_embeddings(path)
         assert set(reloaded.vectors) == set(words)
         for w in words:
-            np.testing.assert_allclose(reloaded[w], table[w], atol=1e-12, rtol=0)
+            np.testing.assert_array_equal(reloaded[w], table[w])
 
     def test_lowercases_on_ingest(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -226,41 +224,6 @@ class TestExpandVocab:
         v, m = trained_tiny_model(rng)
         with pytest.raises(DataError):
             expand_vocab(m, "newword", np.full(m.embed_dim, np.nan))
-
-
-class TestNearestNeighbors:
-    def test_query_excluded(self):
-        table = EmbeddingTable(2, {"a": [1.0, 0.0], "b": [1.0, 0.0], "c": [0.0, 1.0]})
-        out = nearest_neighbors(table, "a", 5)
-        assert all(w != "a" for w, _ in out)
-
-    def test_duplicate_vector_ranks_first_with_similarity_one(self):
-        table = EmbeddingTable(
-            3, {"a": [1.0, 2.0, 3.0], "twin": [1.0, 2.0, 3.0], "other": [-1.0, 0.0, 1.0]}
-        )
-        out = nearest_neighbors(table, "a", 2)
-        assert out[0][0] == "twin"
-        assert out[0][1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_full_sort_oracle(self, rng):
-        words = [f"w{i}" for i in range(20)]
-        table = EmbeddingTable(6, {w: rng.normal(size=6) for w in words})
-        query = "w7"
-        expected = []
-        qv = table[query]
-        for w in words:
-            if w == query:
-                continue
-            vv = table[w]
-            sim = float(qv @ vv / (np.linalg.norm(qv) * np.linalg.norm(vv)))
-            expected.append((w, sim))
-        expected.sort(key=lambda p: (-p[1], p[0]))
-        assert nearest_neighbors(table, query, 5) == expected[:5]
-
-    def test_absent_word(self):
-        table = EmbeddingTable(2, {"a": [1.0, 0.0]})
-        with pytest.raises(DataError):
-            nearest_neighbors(table, "zzz", 3)
 
 
 class TestBuildCaptionModel:

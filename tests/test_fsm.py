@@ -414,24 +414,26 @@ class TestSpecFiles:
         from cbsdecode.fsm import parse_constraint_spec
 
         parsed = parse_constraint_spec({}, chair_table_vocab)
-        assert parsed.empty
+        assert not parsed.disjunctions.disjunctions and not parsed.phrases
         f = compile_spec(parsed, chair_table_vocab)
         assert f.num_states == 1 and f.start in f.accepting
 
 
 class TestDumpRoundTrip:
-    def test_dump_reload_preserves_language(self, chair_table_vocab, rng):
+    def test_dump_and_self_loops_give_every_transition(self, chair_table_vocab):
         v = chair_table_vocab
         f = intersect(
             chair_table_fsm(v),
             compile_phrase(PhraseConstraint.from_words(["the", "chair"], v), len(v)),
         )
-        g = Fsm.from_dump(json.loads(json.dumps(f.dump())))
-        assert g.num_states == f.num_states
-        assert g.accepting == f.accepting
-        for _ in range(300):
-            seq = [int(w) for w in rng.integers(0, len(v), size=rng.integers(0, 7))]
-            assert f.recognizes(seq) == g.recognizes(seq)
+        dump = json.loads(json.dumps(f.dump()))
+        assert (dump["num_states"], dump["vocab_size"]) == (f.num_states, len(v))
+        assert (dump["start"], set(dump["accepting"])) == (f.start, f.accepting)
+        listed = {(s, w): nxt for s, w, nxt in dump["transitions"]}
+        assert len(listed) == len(dump["transitions"])
+        for s in range(f.num_states):
+            for w in range(len(v)):
+                assert listed.get((s, w), s) == f.step(s, w)
 
     def test_dump_lists_only_non_self_loops(self, chair_table_vocab):
         f = chair_table_fsm(chair_table_vocab)

@@ -28,7 +28,7 @@ from cbsdecode import (
 )
 from cbsdecode.neural import CaptionModel
 from cbsdecode.scorers import DecodeState, Scorer
-from cbsdecode.search import _run_search, decode_best, phrase_machines
+from cbsdecode.search import Hypothesis, _run_search, decode_best, phrase_machines
 from conftest import make_vocab, random_ngram
 from oracles import (
     filtered_argmax,
@@ -39,6 +39,27 @@ from oracles import (
 )
 
 NEG_INF = float("-inf")
+
+
+def final_beams(scorer, fsm, params):
+    """`_run_search`'s final hypotheses as beams, one per FSM state: its live
+    hypotheses, then its completed ones, each in the order the search keeps
+    them; and the steps taken."""
+    live, done, steps = _run_search(scorer, fsm, params)
+    (state, logprob, tokens), (finished, done_state, done_lp) = live, done
+    beams = [[] for _ in range(fsm.num_states)]
+    for s, lp, toks in zip(state.tolist(), logprob.tolist(), tokens.tolist()):
+        beams[s].append(Hypothesis(tuple(toks), lp, s))
+    for toks, s, lp in zip(finished, done_state.tolist(), done_lp.tolist()):
+        beams[s].append(Hypothesis(toks, lp, s, completed=True))
+    return beams, steps
+
+
+def reference_beams(scorer, fsm, params):
+    """`oracles.reference_run_search`'s final beams in `final_beams`' order:
+    a beam's live hypotheses, then its completed ones, each best-first."""
+    beams, steps = reference_run_search(scorer, fsm, params)
+    return [sorted(beam, key=lambda h: h.completed) for beam in beams], steps
 
 
 class ChainScorer(Scorer):
@@ -284,7 +305,7 @@ class TestConstrainedBeamSearch:
         v = make_vocab(6)
         m = random_ngram(rng, v)
         fsm = compile_disjunctions(DisjunctiveConstraints.from_sets([{0}, {1}]), len(v))
-        beams, _ = _run_search(m, fsm, SearchParams(beam_size=4, max_len=6))
+        beams, _ = final_beams(m, fsm, SearchParams(beam_size=4, max_len=6))
         for s, beam in enumerate(beams):
             for h in beam:
                 state = fsm.start
@@ -298,7 +319,7 @@ class TestConstrainedBeamSearch:
         fsm = compile_disjunctions(
             DisjunctiveConstraints.from_sets([{0}, {1}, {2}]), len(v)
         )
-        beams, _ = _run_search(m, fsm, SearchParams(beam_size=3, max_len=6))
+        beams, _ = final_beams(m, fsm, SearchParams(beam_size=3, max_len=6))
         assert len(beams) == fsm.num_states == 8
         assert all(len(beam) <= 3 for beam in beams)
 
@@ -306,7 +327,7 @@ class TestConstrainedBeamSearch:
         v = make_vocab(4)
         chain = (0, 1, v.eos)
         scorer = ChainScorer(chain, len(v), v.eos)
-        beams, steps = _run_search(scorer, trivial_fsm(len(v)), SearchParams(beam_size=5, max_len=50))
+        beams, steps = final_beams(scorer, trivial_fsm(len(v)), SearchParams(beam_size=5, max_len=50))
         assert steps == len(chain)
 
     def test_fallback_reports_most_satisfied_state(self):
@@ -540,7 +561,7 @@ class TestExceptionGroups:
         # four-token group must still send beam_size = 2 extensions to state 2
         after_zero = _log_softmax([5.0, 4.0, 3.0, 2.0, 1.0, 0.0])
         scorer = LastTokenScorer({None: self.FIRST, 0: after_zero}, after_zero, eos=5)
-        beams, steps = _run_search(scorer, _two_group_words_fsm(), SearchParams(beam_size=2, max_len=2))
+        beams, steps = final_beams(scorer, _two_group_words_fsm(), SearchParams(beam_size=2, max_len=2))
         assert steps == 2
         assert [h.tokens for h in beams[2]] == [(0, 1), (0, 2)]
         assert [h.logprob for h in beams[2]] == [
@@ -551,7 +572,7 @@ class TestExceptionGroups:
         after_zero = _log_softmax([5.0, NEG_INF, 3.0, NEG_INF, 1.0, 4.0])
         scorer = LastTokenScorer({None: self.FIRST, 0: after_zero}, after_zero, eos=5)
         fsm = _two_group_words_fsm()
-        beams, _ = _run_search(scorer, fsm, SearchParams(beam_size=3, max_len=2))
+        beams, _ = final_beams(scorer, fsm, SearchParams(beam_size=3, max_len=2))
         # 0 is a repeat, 1 and 3 have probability zero: only (0, 2) reaches state 2
         assert [h.tokens for h in beams[2]] == [(0, 2)]
         assert all(math.isfinite(h.logprob) for beam in beams for h in beam)
@@ -575,7 +596,7 @@ class TestExceptionGroups:
         scorer = LastTokenScorer({None: first, 0: after}, after, eos=5)
         fsm = Fsm(3, 0, {2}, 6, defaults=[0, 1, 2],
                   rows=[dict.fromkeys(range(4), 1), dict.fromkeys(range(1, 4), 2), {}])
-        beams, steps = _run_search(scorer, fsm, SearchParams(beam_size=2, max_len=2))
+        beams, steps = final_beams(scorer, fsm, SearchParams(beam_size=2, max_len=2))
         # recorded with the per-candidate search loop this one replaced
         assert steps == 2
         assert [(h.tokens, h.logprob.hex()) for h in beams[2]] == [
@@ -616,8 +637,11 @@ def _random_machine(rng, kind, size):
     product = intersect(disjunction(), phrase())
     if kind == "product":
         return product
-    if kind == "dump":  # every non-self-loop transition listed explicitly
-        return Fsm.from_dump(product.dump())
+    if kind == "dump":  # self-loop defaults, every other transition listed
+        rows = [{w: product.step(s, w) for w in range(size) if product.step(s, w) != s}
+                for s in range(product.num_states)]
+        return Fsm(product.num_states, product.start, product.accepting, size,
+                   range(product.num_states), rows, product.progress)
     # listed entries that equal their state's default: two routes to one beam
     rows = [dict(r) for r in product.rows]
     for s, row in enumerate(rows):
@@ -630,7 +654,8 @@ def _random_machine(rng, kind, size):
 class TestArrayBeamEquivalence:
     """The array search against the per-candidate reference loop kept in
     `oracles.reference_run_search`: the same steps and, beam by beam, the
-    same hypotheses in the same order, to the last bit of the logprob."""
+    same hypotheses in the same order, to the last bit of the logprob; and
+    `constrained_beam_search` reports each state's best completed one."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -651,10 +676,16 @@ class TestArrayBeamEquivalence:
             scorer = _quantized_scorer(rng, size, v.eos)
         fsm = _random_machine(rng, machine_kind, size)
         params = SearchParams(beam_size=beam, max_len=max_len, no_repeat=no_repeat)
-        got, steps = _run_search(scorer, fsm, params)
-        want, want_steps = reference_run_search(scorer, fsm, params)
+        got, steps = final_beams(scorer, fsm, params)
+        want, want_steps = reference_beams(scorer, fsm, params)
         assert steps == want_steps
         assert _beam_records(got) == _beam_records(want)
+        # each state's first completed hypothesis is its best
+        best = constrained_beam_search(scorer, fsm, params).per_state_best
+        want_best = {s: [h for h in beam if h.completed][:1] for s, beam in enumerate(want)}
+        assert {s: _beam_records([[h]]) for s, h in best.items()} == {
+            s: _beam_records([first]) for s, first in want_best.items() if first
+        }
 
 
 # what a copy of an NGramModel keeps: its counts and the context behind each
@@ -680,9 +711,9 @@ def test_one_ngram_model_serves_many_searches(seed, order):
     def check(model, beam):
         fsm = _random_machine(rng, str(rng.choice(["disjunction", "phrase", "product"])), size)
         params = SearchParams(beam_size=beam, max_len=int(rng.integers(2, 7)))
-        got, steps = _run_search(model, fsm, params)
-        fresh, fresh_steps = _run_search(NGramModel.from_dict(dump), fsm, params)
-        want, want_steps = reference_run_search(model, fsm, params)
+        got, steps = final_beams(model, fsm, params)
+        fresh, fresh_steps = final_beams(NGramModel.from_dict(dump), fsm, params)
+        want, want_steps = reference_beams(model, fsm, params)
         assert steps == fresh_steps == want_steps
         assert _beam_records(got) == _beam_records(fresh) == _beam_records(want)
 
