@@ -236,7 +236,7 @@ def compile_constraints(constraints, model, lemmas, out):
     "phrase and keep the best accepted run",
 )
 @click.option("--emit-per-state", is_flag=True, help="include per-beam best hypotheses")
-@click.option("--workers", default=1, show_default=True)
+@click.option("--workers", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--out", type=click.Path(dir_okay=False))
 def decode(
     scorer_kind,
@@ -258,8 +258,6 @@ def decode(
     spec = _load_spec(constraints, lemmas, vocab)
     params = SearchParams(beam_size=beam, max_len=max_len, no_repeat=no_repeat)
     items = _read_inputs(inputs, scorer)
-    if workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {workers}")
     if phrase_mode == "any" and spec.phrases:
         # one run per phrase, each within the spec's disjunctions
         base = None
@@ -336,15 +334,21 @@ def _read_conditioning(path: str | None, count: int, cond_dim: int) -> list[np.n
     return rows
 
 
+def _finite_positive(ctx, param, value: float) -> float:
+    if not (np.isfinite(value) and value > 0):
+        raise click.BadParameter(f"must be finite and > 0, got {value}")
+    return value
+
+
 @cli.command("train-lm")
 @click.argument("corpus", type=click.Path(exists=True, dir_okay=False))
 @click.option("--embeddings", "embeddings_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--conditioning", type=click.Path(exists=True, dir_okay=False))
 @click.option("--hidden", default=32, show_default=True, type=click.IntRange(min=1))
-@click.option("--cond-dim", default=2, show_default=True)
-@click.option("--epochs", default=200, show_default=True)
-@click.option("--lr", default=0.3, show_default=True)
-@click.option("--batch-size", default=1, show_default=True)
+@click.option("--cond-dim", default=2, show_default=True, type=click.IntRange(min=0))
+@click.option("--epochs", default=200, show_default=True, type=click.IntRange(min=0))
+@click.option("--lr", default=0.3, show_default=True, callback=_finite_positive)
+@click.option("--batch-size", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def train_lm(corpus, embeddings_path, conditioning, hidden, cond_dim, epochs, lr, batch_size, seed, out):
@@ -452,9 +456,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UnknownCommand as e:
         _emit_error("unknown-command", f"no such command: {e}", EXIT_UNKNOWN_COMMAND)
         return EXIT_UNKNOWN_COMMAND
-    except click.UsageError as e:
-        _emit_error("config", e.format_message(), EXIT_CONFIG)
-        return EXIT_CONFIG
     except click.ClickException as e:
         _emit_error("config", e.format_message(), EXIT_CONFIG)
         return EXIT_CONFIG

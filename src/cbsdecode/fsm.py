@@ -11,6 +11,7 @@ successor plus an exception map for the tokens that matter to the constraint.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -400,15 +401,6 @@ def intersect(a: Fsm, b: Fsm, max_states: int = MAX_PRODUCT_STATES) -> Fsm:
     )
 
 
-def intersect_all(machines: Sequence[Fsm]) -> Fsm:
-    if not machines:
-        raise ConstraintError("nothing to intersect")
-    out = machines[0]
-    for m in machines[1:]:
-        out = intersect(out, m)
-    return out
-
-
 @dataclass
 class ConstraintSpec:
     """Parsed constraint specification: disjunction groups plus phrases."""
@@ -465,4 +457,4 @@ def compile_spec(spec: ConstraintSpec, vocab: Vocabulary) -> Fsm:
         machines.append(compile_phrase(p, len(vocab)))
     if not machines:
         return trivial_fsm(len(vocab))
-    return intersect_all(machines)
+    return functools.reduce(intersect, machines)

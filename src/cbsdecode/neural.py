@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractError, DataError, NumericError
+from .files import in_file
 from .scorers import DecodeState, Scorer
 from .vocab import Vocabulary
 
@@ -322,23 +323,25 @@ class CaptionModel(Scorer):
 
     def output_logits(self, state: DecodeState) -> np.ndarray:
         """Raw tied-output logits (B x |V|) pending at the rows of `state`
-        (pre-softmax), bit-equal to the ones behind its `log_probs`."""
+        (pre-softmax), bit-equal to the ones behind `log_probs(state)`."""
         return self._tied_logits(state.rows[2])
 
+    def log_probs(self, state: DecodeState) -> np.ndarray:
+        """A fresh (B x |V|) block; a row's bits depend neither on B nor on its place."""
+        logp = log_softmax(self.output_logits(state))
+        if not np.isfinite(logp).all():
+            raise NumericError("model emitted a non-finite log distribution")
+        return logp
+
     def _step_rows(self, x, h1, c1, h2, c2, cond) -> DecodeState:
-        """The decode step of B hypotheses, given their inputs x and rows
+        """The two LSTM layers of B hypotheses, given their inputs x and rows
         (h1, c1, h2, c2, cond) as (B x .) arrays; each row's bits depend
-        neither on B nor on its place. The state's `log_probs` are one
-        read-only (B x |V|) block."""
+        neither on B nor on its place."""
         z1 = _row_gemm(np.hstack([x, h1]), self.layer1.w.T) + self.layer1.b
         h1, c1, _ = _gate_cell(z1, c1)
         z2 = _row_gemm(np.hstack([h1, cond, h2]), self.layer2.w.T) + self.layer2.b
         h2, c2, _ = _gate_cell(z2, c2)
-        logp = log_softmax(self._tied_logits(h2))
-        if not np.isfinite(logp).all():
-            raise NumericError("model emitted a non-finite log distribution")
-        logp.flags.writeable = False
-        return DecodeState(self, logp, (h1, c1, h2, c2, cond))
+        return DecodeState(self, (h1, c1, h2, c2, cond))
 
     def _check_conditioning(self, conditioning) -> np.ndarray:
         if conditioning is None:
@@ -556,22 +559,23 @@ def load_checkpoint(path) -> CaptionModel:
         data = np.load(path, allow_pickle=False)
     except _UNREADABLE as e:
         raise DataError(f"cannot read checkpoint {path}: {e}") from e
-    with data:
-        if "__meta__" not in data:
-            raise DataError(f"{path} is not a caption model checkpoint")
+    with data, in_file(path):
         try:
-            return _model_from_arrays(path, data)
+            return _model_from_arrays(dict(data))
         except (KeyError, *_UNREADABLE) as e:
-            raise DataError(f"malformed checkpoint {path}: {e!r}") from e
+            raise DataError(f"malformed checkpoint: {e!r}") from e
 
 
-def _model_from_arrays(path, data) -> CaptionModel:
-    meta = json.loads(str(data["__meta__"][()]))
-    if meta.get("format") != CHECKPOINT_FORMAT:
-        raise DataError(f"{path} is not a caption model checkpoint")
+def _model_from_arrays(data: dict) -> CaptionModel:
+    meta = json.loads(str(data["__meta__"][()])) if "__meta__" in data else None
+    if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
+        raise DataError("not a caption model checkpoint")
     version = meta.get("version")
     if version not in (1, CHECKPOINT_VERSION):
         raise DataError(f"unsupported checkpoint version {version}")
+    for name, a in data.items():
+        if name != "__meta__" and a.dtype.kind not in "iuf":
+            raise DataError(f"{name} is not a real numeric array")
 
     def layer(prefix: str) -> LstmLayerParams:
         if version == 1:

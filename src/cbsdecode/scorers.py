@@ -1,13 +1,14 @@
 """Sequence-scorer contract and count-based reference scorers.
 
 A scorer exposes a stepwise conditional next-token log distribution over a
-batch of decode states. A `DecodeState` is an immutable batch of B rows: the
-batch returned by `initial_state` has one row, which already carries the
-pending distribution over the first token, and `advance(state, parents,
-tokens)` returns a fresh batch whose row i follows row parents[i] after
-consuming tokens[i]. Once per step the search asks `top_k` for each row's
-best tokens and its scores at the machine's listed tokens; a scorer may
-answer from caches of its own (`NGramModel` ranks each context once).
+batch of decode states. A `DecodeState` is an immutable batch of B rows, the
+scorer's own (B x .) arrays and nothing else: `initial_state` gives one row,
+and `advance(state, parents, tokens)` a fresh batch whose row i follows row
+parents[i] after consuming tokens[i]. Only `log_probs(state)` turns rows into
+the (B x |V|) next-token distributions, when something reads them. Once per
+step the search asks `top_k` for each row's best tokens and its scores at the
+machine's listed tokens; a scorer may answer from caches of its own
+(`NGramModel` ranks each context once, and never makes a block).
 """
 
 from __future__ import annotations
@@ -31,32 +32,28 @@ NGRAM_VERSION = 1
 
 
 class DecodeState:
-    """A batch of B decode states. `log_probs[i]` is the read-only natural-log
-    distribution over the NEXT token of row i: a sequence of 1-D rows, or one
-    (B x |V|) block, as the neural scorer's step makes it. `rows` holds the
-    owner's own (B x .) arrays, gathered together by `take`."""
+    """A batch of B decode states: `rows` holds the owner's own (B x .)
+    arrays, at least one, gathered together by `take`. The distributions
+    over each row's next token are `owner.log_probs(state)`."""
 
-    __slots__ = ("owner", "log_probs", "rows")
+    __slots__ = ("owner", "rows")
 
-    def __init__(self, owner: "Scorer", log_probs: Sequence[np.ndarray], rows: tuple = ()):
+    def __init__(self, owner: "Scorer", rows: tuple):
         self.owner = owner
-        self.log_probs = log_probs
         self.rows = rows
 
     def __len__(self) -> int:
-        return len(self.log_probs)
+        return len(self.rows[0])
 
     def take(self, parents: Sequence[int]) -> "DecodeState":
-        """The batch of rows parents[0], parents[1], ...; it shares every
-        distribution row with this batch."""
+        """The batch of rows parents[0], parents[1], ..."""
         idx = np.asarray(parents, dtype=np.intp)
-        lp = self.log_probs
-        return DecodeState(self.owner, [lp[i] for i in idx.tolist()], tuple(r[idx] for r in self.rows))
+        return DecodeState(self.owner, tuple(r[idx] for r in self.rows))
 
 
 def _top_ids(rows: np.ndarray, k: int) -> np.ndarray:
-    """(B x k) ids of the k best entries of each row of the C-contiguous
-    (B x n) `rows`, exactly ordered by (score desc, token asc); 1 <= k <= n."""
+    """(B x k) ids of the k best entries of each row of the (B x n) `rows`,
+    exactly ordered by (score desc, token asc); 1 <= k <= n."""
     b, n = rows.shape
     c = 4 * k
     if c >= n:
@@ -98,6 +95,11 @@ class Scorer(ABC):
         """The batch after row i of `state` consumes tokens[i], for a
         non-empty, validated batch."""
 
+    @abstractmethod
+    def log_probs(self, state: DecodeState) -> np.ndarray:
+        """The (B x |V|) natural-log distributions over the next token of the
+        rows of `state`, read-only or a fresh array."""
+
     def advance(self, state: DecodeState, parents: Sequence[int], tokens: Sequence[int]) -> DecodeState:
         """The batch whose row i follows row parents[i] of `state` after
         consuming tokens[i]. Row i depends only on that row and token, never
@@ -124,10 +126,9 @@ class Scorer(ABC):
         """`(ids, scores, token_scores)` for the rows of `state`: the (B x k)
         ids of each row's k best tokens, exactly ordered by (score desc, token
         asc), their (B x k) scores, and the rows' (B x len(tokens)) scores at
-        `tokens`; 1 <= k <= |V|. Read from `log_probs`, in place when they are
-        one (B x |V|) block; a scorer may override it with caches of its own
-        that give the same values."""
-        rows = np.asarray(state.log_probs, dtype=np.float64).reshape(len(state), self.vocab_size)
+        `tokens`; 1 <= k <= |V|. Read from `log_probs(state)`; a scorer may
+        override it with caches of its own that give the same values."""
+        rows = self.log_probs(state)
         ids = _top_ids(rows, k)
         return ids, np.take_along_axis(rows, ids, axis=1), rows[:, tokens]
 
@@ -137,7 +138,7 @@ class Scorer(ABC):
         if isinstance(state, DecodeState) and len(state) != 1:
             raise ContractError(f"step takes a 1-row decode state, got {len(state)} rows")
         nxt = self.advance(state, [0], [token])
-        return nxt, nxt.log_probs[0]
+        return nxt, self.log_probs(nxt)[0]
 
 
 def sequence_logprob(
@@ -145,15 +146,17 @@ def sequence_logprob(
 ) -> float:
     """Chain-rule log probability of `tokens` under the scorer."""
     state = scorer.initial_state(conditioning)
+    dist = scorer.log_probs(state)[0]
     total = 0.0
     for w in tokens:
-        total += float(state.log_probs[0][w])
-        state, _ = scorer.step(state, w)
+        total += float(dist[w])
+        state, dist = scorer.step(state, w)
     return total
 
 
 class UniformScorer(Scorer):
-    """Every conditional probability is 1/|V|. Trivial test scorer."""
+    """Every conditional probability is 1/|V|. Trivial test scorer; its rows
+    are the last tokens, START before the first."""
 
     def __init__(self, vocab_size: int, eos: int | None = None):
         if vocab_size < 1:
@@ -163,8 +166,6 @@ class UniformScorer(Scorer):
         if not 0 <= self._eos < vocab_size:
             raise DataError(f"eos id {eos} out of range")
         self._log_probs = np.full(vocab_size, -np.log(vocab_size))
-        self._log_probs.flags.writeable = False
-        self._state = DecodeState(self, [self._log_probs])
 
     @property
     def vocab_size(self) -> int:
@@ -175,10 +176,13 @@ class UniformScorer(Scorer):
         return self._eos
 
     def initial_state(self, conditioning=None) -> DecodeState:
-        return self._state
+        return DecodeState(self, (np.full(1, START),))
 
     def _advance(self, state: DecodeState, tokens) -> DecodeState:
-        return state  # every row holds the same distribution and nothing else
+        return DecodeState(self, (tokens,))
+
+    def log_probs(self, state: DecodeState) -> np.ndarray:
+        return np.broadcast_to(self._log_probs, (len(state), self._vocab_size))
 
 
 class NGramModel(Scorer):
@@ -191,8 +195,8 @@ class NGramModel(Scorer):
     """
 
     def __init__(self, order: int, alpha: float, vocab: Vocabulary):
-        if order < 1:
-            raise DataError(f"n-gram order must be >= 1, got {order}")
+        if not isinstance(order, (int, np.integer)) or order < 1:
+            raise DataError(f"n-gram order must be an integer >= 1, got {order!r}")
         if not 0 < alpha < float("inf"):
             raise DataError(f"smoothing constant must be finite and > 0, got {alpha}")
         self.order = order
@@ -240,8 +244,7 @@ class NGramModel(Scorer):
         return ctx
 
     # decode state: rows = ((B,) context ids,). A context's id is its place in
-    # `_contexts`, and log_probs[i] is `_log_rows[id]`, a read-only view of
-    # row id of `_logp`, shared, never copied. The context after token w
+    # `_contexts`, and row id of `_logp` is its distribution. The context after token w
     # depends on the context's tail, all but its first token:
     # `_next[_tail[id], w]` is its id, -1 until first asked for. `_top` holds
     # the K best ids of the contexts below `_ranked`, K the widest k asked for
@@ -252,7 +255,6 @@ class NGramModel(Scorer):
         self._context_ids: dict[tuple[int, ...], int] = {}
         self._tails: dict[tuple[int, ...], int] = {}
         self._logp = np.empty((0, v))
-        self._log_rows: list[np.ndarray] = []
         self._tail = np.empty(0, dtype=np.int32)
         self._next = np.empty((0, v), dtype=np.int32)
         self._top = np.empty((0, 0), dtype=np.intp)
@@ -272,9 +274,6 @@ class NGramModel(Scorer):
             self._logp, self._tail, self._top = (
                 _grown(a, cap) for a in (self._logp, self._tail, self._top)
             )
-            view = self._logp.view()
-            view.flags.writeable = False
-            self._log_rows = list(view)
         counts = np.zeros(self.vocab_size)
         for w, c in self.continuations.get(ctx, {}).items():
             counts[w] = c
@@ -291,7 +290,7 @@ class NGramModel(Scorer):
 
     def initial_state(self, conditioning=None) -> DecodeState:
         cid = self._context_id((START,) * (self.order - 1))
-        return DecodeState(self, [self._log_rows[cid]], (np.array([cid], dtype=np.int32),))
+        return DecodeState(self, (np.array([cid], dtype=np.int32),))
 
     def _advance(self, state: DecodeState, tokens) -> DecodeState:
         (ctx,) = state.rows
@@ -303,8 +302,10 @@ class NGramModel(Scorer):
                 cid = self._context_id((self._contexts[c] + (w,))[1:])
                 self._next[self._tail[c], w] = cid
             nxt = self._next[tail, tokens]
-        rows = self._log_rows
-        return DecodeState(self, [rows[c] for c in nxt.tolist()], (nxt,))
+        return DecodeState(self, (nxt,))
+
+    def log_probs(self, state: DecodeState) -> np.ndarray:
+        return self._logp[state.rows[0]]
 
     def top_k(self, state: DecodeState, k: int, tokens: np.ndarray):
         """`Scorer.top_k` from the context cache: each context's row is ranked

@@ -350,9 +350,9 @@ def exhaustive_decode(
         if cur is None or h.sort_key() < cur.sort_key():
             best_per_state[state] = h
 
-    def visit(decode_state, fsm_state: int, tokens: tuple[int, ...], logprob: float):
+    def visit(batch, row: int, logdist, fsm_state: int, tokens: tuple[int, ...], logprob: float):
+        # the node is row `row` of `batch`; `logdist` is its next-token distribution
         depth = len(tokens)
-        logdist = decode_state.log_probs[0]
         last = tokens[-1] if tokens else None
         children = []  # (token, fsm state, logprob) of every non-EOS extension
         for w in range(v):
@@ -366,9 +366,12 @@ def exhaustive_decode(
                 consider(tokens + (w,), lp, nxt)
             elif depth + 1 < params.max_len:
                 children.append((w, nxt, lp))
-        states = scorer.advance(decode_state, [0] * len(children), [w for w, _, _ in children])
-        for i, (w, nxt, lp) in enumerate(children):
-            visit(states.take([i]), nxt, tokens + (w,), lp)
+        if children:
+            batch = scorer.advance(batch, [row] * len(children), [w for w, _, _ in children])
+            dists = scorer.log_probs(batch)
+            for i, (w, nxt, lp) in enumerate(children):
+                visit(batch, i, dists[i], nxt, tokens + (w,), lp)
 
-    visit(scorer.initial_state(conditioning), fsm.start, (), 0.0)
+    root = scorer.initial_state(conditioning)
+    visit(root, 0, scorer.log_probs(root)[0], fsm.start, (), 0.0)
     return _result_from_per_state(best_per_state, fsm)

@@ -24,6 +24,8 @@ class Vocabulary:
     __slots__ = ("tokens", "_index", "eos")
 
     def __init__(self, tokens: Sequence[str], eos_token: str = EOS_TOKEN):
+        if not isinstance(tokens, (list, tuple)) or not all(isinstance(w, str) for w in (*tokens, eos_token)):
+            raise DataError("vocabulary must be a list of words, with a word as end-of-sequence")
         self.tokens: tuple[str, ...] = tuple(tokens)
         self._index: dict[str, int] = {}
         for i, w in enumerate(self.tokens):

@@ -30,8 +30,7 @@ def random_ngram(rng: np.random.Generator, vocab: Vocabulary, order: int = 2,
 def stack_states(states) -> DecodeState:
     """One batch holding the rows of `states` in order (all of one scorer)."""
     rows = zip(*(s.rows for s in states))
-    return DecodeState(states[0].owner, [lp for s in states for lp in s.log_probs],
-                       tuple(np.concatenate(r) for r in rows))
+    return DecodeState(states[0].owner, tuple(np.concatenate(r) for r in rows))
 
 
 @pytest.fixture

@@ -82,7 +82,7 @@ def greedy_decode(scorer, max_len, no_repeat=True, conditioning=None):
     tokens: list[int] = []
     total = 0.0
     for _ in range(max_len):
-        dist = state.log_probs[0].copy()
+        dist = scorer.log_probs(state)[0].copy()
         if no_repeat and tokens:
             dist[tokens[-1]] = -math.inf
         w = int(dist.argmax())
@@ -164,7 +164,7 @@ def reference_run_search(scorer, fsm, params, conditioning=None):
         steps += 1
         candidates = {}
         for s, h in live:
-            logdist = h.scorer_state.log_probs[0]
+            logdist = scorer.log_probs(h.scorer_state)[0]
             repeat = h.tokens[-1] if params.no_repeat and h.tokens else None
             new_len = len(h.tokens) + 1
             routes = [(fsm.defaults[s], _ordered_prefix(row_cache, logdist, prefix_len), fsm.rows[s])]

@@ -249,7 +249,7 @@ def test_criterion_06_neural_numerics():
         total_params += checked
         state = model.initial_state(cond)
         for w in seq:
-            assert abs(np.exp(state.log_probs[0]).sum() - 1.0) < DIST_TOL
+            assert abs(np.exp(model.log_probs(state)[0]).sum() - 1.0) < DIST_TOL
             state, _ = model.step(state, w)
     assert worst_rel < GRAD_REL_TOL
 
@@ -348,9 +348,9 @@ def test_criterion_08_vocabulary_expansion(toy_training):
         for w in prefix + [None]:
             assert np.array_equal(logits_of(expanded, s_new)[:old_size],
                                   logits_of(base, s_old))
-            old_argmax = int(np.argmax(s_old.log_probs[0]))
-            assert int(np.argmax(s_new.log_probs[0][:old_size])) == old_argmax
-            full_argmax = int(np.argmax(s_new.log_probs[0]))
+            old_argmax = int(np.argmax(base.log_probs(s_old)[0]))
+            assert int(np.argmax(expanded.log_probs(s_new)[0][:old_size])) == old_argmax
+            full_argmax = int(np.argmax(expanded.log_probs(s_new)[0]))
             if full_argmax != old_argmax:
                 assert full_argmax >= old_size
                 new_word_won += 1

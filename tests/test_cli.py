@@ -518,6 +518,8 @@ WRONG_SHAPE = [
     ("decode", "model", "context with two fields",
      json.dumps({**_NGRAM_HEAD, "vocab": ["a", "<eos>"], "contexts": [[[-1], 3]]}),
      "malformed n-gram model"),
+    ("decode", "model", "order is a float",
+     json.dumps({**_NGRAM_HEAD, "order": 1.0, "vocab": ["a", "<eos>"], "contexts": []}), "n-gram order"),
     ("eval-f1", "mentions", "mention spec is a string", '"chair"', "mention spec"),
     ("eval-f1", "mentions", "mentions not a list", '{"object": "chair", "mentions": 5}',
      "list of mentions"),
@@ -586,14 +588,37 @@ def test_valid_files_run(valid_files, tmp_path, capsys, command):
     assert capsys.readouterr().err == ""
 
 
-# (command, "checkpoint", defect, the slice of a valid checkpoint's bytes,
-# what the message must say). `decode --scorer neural` reads its model as a
-# checkpoint whatever its first bytes are
+def _checkpoint_with(meta=None, **arrays):
+    """A mutation of a valid checkpoint's bytes: `meta` maps its meta object
+    to the new one, and each of `arrays` maps the named array to its new one."""
+    def mutate(valid: bytes) -> bytes:
+        with np.load(io.BytesIO(valid)) as data:
+            entries = dict(data)
+        if meta is not None:
+            entries["__meta__"] = np.array(json.dumps(meta(json.loads(str(entries["__meta__"][()])))))
+        for name, change in arrays.items():
+            entries[name] = change(entries[name])
+        out = io.BytesIO()
+        np.savez(out, **entries)
+        return out.getvalue()
+    return mutate
+
+
+# (defect, the slice of a valid checkpoint's bytes or a mutation of them, what
+# the message must say), each read by `expand` and by `decode`, which reads
+# its model as a checkpoint with `--scorer neural` whatever its first bytes are
 CHECKPOINT_DEFECTS = [
-    ("expand", "checkpoint", "truncated checkpoint", slice(0, 100), "cannot read checkpoint"),
-    ("expand", "checkpoint", "empty checkpoint", slice(0, 0), "cannot read checkpoint"),
-    ("decode", "checkpoint", "truncated checkpoint", slice(0, 100), "cannot read checkpoint"),
-    ("decode", "checkpoint", "empty checkpoint", slice(0, 0), "cannot read checkpoint"),
+    (command, "checkpoint", defect, content, says)
+    for command in ("expand", "decode")
+    for defect, content, says in [
+        ("truncated checkpoint", slice(0, 100), "cannot read checkpoint"),
+        ("empty checkpoint", slice(0, 0), "cannot read checkpoint"),
+        ("meta a JSON list", _checkpoint_with(meta=list), "not a caption model checkpoint"),
+        ("meta a JSON number", _checkpoint_with(meta=lambda m: 3), "not a caption model checkpoint"),
+        ("vocab a number", _checkpoint_with(meta=lambda m: {**m, "vocab": 7}),
+         "vocabulary must be a list of words"),
+        ("b_v of strings", _checkpoint_with(b_v=lambda a: a.astype(str)), "b_v is not a real numeric array"),
+    ]
 ]
 
 MALFORMED_FILES = (
@@ -612,15 +637,18 @@ def test_malformed_file_is_data_error(
     valid_files, tmp_path, capsys, command, option, defect, content, says
 ):
     """A file that is not UTF-8 (one Latin-1 byte in the middle of valid
-    content), JSON of the wrong shape, or a truncated or empty checkpoint
-    (`decode` reads it with `--scorer neural`) ends in exit 66 with one JSON
-    error object on stderr that names the file and the problem."""
+    content), JSON of the wrong shape, or a truncated, empty or malformed
+    checkpoint (`decode` reads it with `--scorer neural`) ends in exit 66
+    with one JSON error object on stderr that names the file and the
+    problem."""
     bad = tmp_path / f"bad-{option}"
     valid = valid_files[option].read_bytes()
     if content is None:
         bad.write_bytes(valid[: len(valid) // 2] + "é".encode("latin-1") + valid[len(valid) // 2:])
     elif isinstance(content, slice):
         bad.write_bytes(valid[content])
+    elif callable(content):
+        bad.write_bytes(content(valid))
     else:
         bad.write_text(content, encoding="utf-8")
     files = {**valid_files, option: bad}
@@ -658,13 +686,23 @@ def _one_error_object(err: str) -> dict:
     return json.loads(lines[0])["error"]
 
 
-@pytest.mark.parametrize("option, value", [("--hidden", "0"), ("--hidden", "-1"), ("--seed", "-1")])
+@pytest.mark.parametrize("option, value", [
+    ("--hidden", "0"), ("--hidden", "-1"), ("--seed", "-1"), ("--cond-dim", "-1"), ("--epochs", "-1"),
+    ("--batch-size", "0"), ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-1"), ("--lr", "0"),
+])
 def test_train_lm_out_of_range_value_is_config_error(valid_files, tmp_path, capsys, option, value):
     argv = _argv("train-lm", valid_files, str(tmp_path / "lm.npz")) + [option, value]
     assert main(argv) == 65
     payload = _one_error_object(capsys.readouterr().err)
     assert payload["category"] == "config" and option in payload["message"]
     assert not (tmp_path / "lm.npz").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_decode_workers_below_one_is_config_error(valid_files, tmp_path, capsys, value):
+    assert main(_argv("decode", valid_files, str(tmp_path / "out")) + ["--workers", value]) == 65
+    payload = _one_error_object(capsys.readouterr().err)
+    assert payload["category"] == "config" and "--workers" in payload["message"]
 
 
 @pytest.mark.parametrize("entry", ["train-ngram --alpha inf", "n-gram dump with alpha 1e999"])

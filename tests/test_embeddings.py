@@ -120,7 +120,7 @@ class TestExpandVocab:
             new_logits = m2.output_logits(state_new)[0]
             assert np.array_equal(new_logits[: len(v)], old_logits)
             # all pre-existing probabilities shrink by one common factor
-            ratios = np.exp(state_new.log_probs[0][: len(v)] - state_old.log_probs[0])
+            ratios = np.exp(m2.log_probs(state_new)[0][: len(v)] - m.log_probs(state_old)[0])
             np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
             assert ratios[0] < 1.0
             state_old, _ = m.step(state_old, w)

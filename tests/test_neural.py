@@ -20,7 +20,7 @@ from cbsdecode import (
     beam_search,
     SearchParams,
 )
-from cbsdecode import neural
+from cbsdecode import neural, trivial_fsm
 from cbsdecode.neural import (
     CHECKPOINT_FORMAT,
     GATES,
@@ -33,6 +33,7 @@ from cbsdecode.neural import (
     save_checkpoint,
     train,
 )
+from cbsdecode.search import _run_search
 from conftest import make_vocab, stack_states
 from oracles import _ref_blocked, reference_step_rows, reference_tied_logits
 from test_scorers import scorer_contract_checks
@@ -195,7 +196,7 @@ class TestForwardStep:
         w_e = np.random.default_rng(0).normal(size=(5, 6))
         m = CaptionModel.build(v, w_e, 3, 2, rng=None, init_scale=0.0, forget_bias=0.0)
         state = m.initial_state()
-        np.testing.assert_allclose(state.log_probs[0], math.log(1 / 6), atol=1e-12)
+        np.testing.assert_allclose(m.log_probs(state)[0], math.log(1 / 6), atol=1e-12)
 
     def test_identical_embedding_columns_get_identical_logits(self, rng):
         v = make_vocab(5)
@@ -204,7 +205,7 @@ class TestForwardStep:
         m = CaptionModel.build(v, w_e, 3, 2, rng=rng)
         state = m.initial_state(rng.normal(size=2))
         for w in (0, 2, 1):
-            assert state.log_probs[0][3] == state.log_probs[0][1]
+            assert m.log_probs(state)[0][3] == m.log_probs(state)[0][1]
             state, _ = m.step(state, w)
 
     def test_distribution_sums_and_unrolled_agreement(self, rng):
@@ -214,8 +215,8 @@ class TestForwardStep:
         state = m.initial_state(cond)
         stepped = 0.0
         for w in seq:
-            assert abs(np.exp(state.log_probs[0]).sum() - 1.0) < 1e-6
-            stepped += float(state.log_probs[0][w])
+            assert abs(np.exp(m.log_probs(state)[0]).sum() - 1.0) < 1e-6
+            stepped += float(m.log_probs(state)[0][w])
             state, _ = m.step(state, w)
         unrolled = -m.sequence_loss(seq, cond) * len(seq)
         assert stepped == pytest.approx(unrolled, abs=1e-10)
@@ -267,7 +268,7 @@ class TestSequenceLoss:
         state = m.initial_state(cond)
         contribs = []
         for w in seq:
-            contribs.append(float(state.log_probs[0][w]))
+            contribs.append(float(m.log_probs(state)[0][w]))
             state, _ = m.step(state, w)
         assert m.sequence_loss(seq, cond) == pytest.approx(
             -np.mean(contribs), abs=1e-12
@@ -286,7 +287,7 @@ class TestSequenceLoss:
         state = m.initial_state(cond)
         contribs = []
         for w in seq:
-            contribs.append(float(state.log_probs[0][w]))
+            contribs.append(float(m.log_probs(state)[0][w]))
             state, _ = m.step(state, w)
         assert m.sequence_loss(seq, cond) == pytest.approx(-np.mean(contribs), abs=1e-12)
 
@@ -407,7 +408,7 @@ class TestTrain:
         report = train(m, corpus, lr=0.5, epochs=5, seed=0)
         assert report.final < report.initial
         assert report.final == pytest.approx(
-            np.mean([-m.initial_state(c).log_probs[0][v.eos] for _, c in corpus]), abs=1e-12
+            np.mean([-m.log_probs(m.initial_state(c))[0][v.eos] for _, c in corpus]), abs=1e-12
         )
 
     def test_callable_learning_rate(self, rng):
@@ -528,7 +529,7 @@ class TestCheckpoint:
             np.testing.assert_array_equal(m2.trainable()[k], a)
         cond = np.array([0.1, -0.4])
         s1, s2 = m.initial_state(cond), m2.initial_state(cond)
-        np.testing.assert_array_equal(s1.log_probs[0], s2.log_probs[0])
+        np.testing.assert_array_equal(m.log_probs(s1)[0], m2.log_probs(s2)[0])
 
     def test_v1_per_gate_checkpoint_loads_bit_identically(self, rng, tmp_path):
         v, m = tiny_model(rng)
@@ -549,7 +550,7 @@ class TestCheckpoint:
         np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
         m2 = load_checkpoint(path)
         cond = np.array([0.3, -0.7])
-        assert m2.initial_state(cond).log_probs[0].tobytes() == m.initial_state(cond).log_probs[0].tobytes()
+        assert m2.log_probs(m2.initial_state(cond)).tobytes() == m.log_probs(m.initial_state(cond)).tobytes()
 
     @pytest.mark.parametrize(
         "defect", ["version 0", "version 3", "no array layer2.w", "no meta vocab"]
@@ -626,7 +627,7 @@ def shaped_model(request):
 def assert_same_bits(got, want, fields=STATE_ARRAYS):
     """Equal bits in the named arrays of two 1-row states."""
     def arrays(state):
-        return dict(zip(STATE_ARRAYS, (state.log_probs[0], *state.rows)))
+        return dict(zip(STATE_ARRAYS, (state.owner.log_probs(state)[0], *state.rows)))
 
     got, want = arrays(got), arrays(want)
     for name in fields:
@@ -720,7 +721,7 @@ class TestBatchedStep:
         cond = rng.normal(size=(b, m.cond_dim))
         got = m._step_rows(x, h1, c1, h2, c2, cond)
         want = reference_step_rows(m, x, h1, c1, h2, c2, cond)
-        for name, g, w in zip(STATE_ARRAYS, (np.stack(got.log_probs), *got.rows), want):
+        for name, g, w in zip(STATE_ARRAYS, (m.log_probs(got), *got.rows), want):
             assert g.tobytes() == w.tobytes(), name
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -791,33 +792,47 @@ def traced_peak(fn, *args):
 
 
 class TestStepCopies:
-    """The decode step writes its logits into one (B x |V|) block, keeps its
-    log-prob block as the state's `log_probs`, and `top_k` and `take` read
-    that block without copying it."""
+    """The decode step runs the two LSTM layers only: `log_probs` makes the
+    (B x |V|) log-prob block, and only when something reads it, so a search
+    projects once per `top_k`, never for its last `advance`."""
 
     B = 13  # the rows of a typical neural-novel step
 
-    def bench_step(self):
+    def bench_batch(self):
         m = wide_model("bench", 5064)
         rng = np.random.default_rng(11)
         states = stack_states([m.initial_state(rng.normal(size=m.cond_dim)) for _ in range(self.B)])
-        return m, m.advance(states, range(self.B), rng.integers(0, m.vocab_size, size=self.B))
+        return m, states, rng.integers(0, m.vocab_size, size=self.B)
+
+    def block(self, m):
+        return self.B * m.vocab_size * 8
 
     def test_tied_logits_peak_below_one_and_a_half_blocks(self):
         m = wide_model("bench", 5064)
         h2 = np.random.default_rng(3).uniform(-1, 1, size=(self.B, m.hidden_size))
-        block = self.B * m.vocab_size * 8
-        assert traced_peak(m._tied_logits, h2) < 1.5 * block
+        assert traced_peak(m._tied_logits, h2) < 1.5 * self.block(m)
 
-    def test_top_k_allocates_less_than_the_block(self):
-        m, state = self.bench_step()
-        tokens = np.arange(0, m.vocab_size, 700)
-        assert traced_peak(m.top_k, state, 11, tokens) < self.B * m.vocab_size * 8
+    def test_advance_allocates_less_than_one_block(self):
+        m, states, tokens = self.bench_batch()
+        assert traced_peak(m.advance, states, range(self.B), tokens) < self.block(m)
 
-    def test_take_shares_the_distribution_rows(self):
-        _, state = self.bench_step()
-        parents = [3, 0, 12, 3]
-        kept = state.take(parents)
-        for row, p in zip(kept.log_probs, parents):
-            assert np.shares_memory(row, state.log_probs)
-            assert row.tobytes() == state.log_probs[p].tobytes()
+    def test_advance_then_top_k_peaks_below_three_and_a_half_blocks(self):
+        # 3.5 blocks is the peak of `advance` alone when it made the block
+        m, states, tokens = self.bench_batch()
+        listed = np.arange(0, m.vocab_size, 700)
+
+        def step():
+            m.top_k(m.advance(states, range(self.B), tokens), 11, listed)
+
+        assert traced_peak(step) < 3.5 * self.block(m)
+
+    @pytest.mark.parametrize("max_len", [1, 3, 8])
+    def test_search_projects_once_per_step(self, monkeypatch, max_len):
+        m = random_decode_model(*DECODE_SHAPES["tiny"], seed=5)
+        calls = []
+        original = CaptionModel._tied_logits
+        monkeypatch.setattr(
+            CaptionModel, "_tied_logits", lambda self, h2: calls.append(len(h2)) or original(self, h2)
+        )
+        _, _, steps = _run_search(m, trivial_fsm(m.vocab_size), SearchParams(beam_size=3, max_len=max_len))
+        assert steps >= 1 and len(calls) == steps

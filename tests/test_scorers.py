@@ -28,7 +28,7 @@ def scorer_contract_checks(scorer, conditioning=None, tol=1e-6, steps=5, rng=Non
     rng = rng or np.random.default_rng(0)
     state = scorer.initial_state(conditioning)
     for _ in range(steps):
-        probs = np.exp(state.log_probs[0])
+        probs = np.exp(scorer.log_probs(state)[0])
         assert abs(probs.sum() - 1.0) < tol
         w = int(rng.integers(0, scorer.vocab_size))
         again_state, again_dist = scorer.step(state, w)
@@ -44,8 +44,8 @@ class TestUniformScorer:
     def test_every_entry_is_log_inverse_size(self):
         s = UniformScorer(4)
         state = s.initial_state()
-        np.testing.assert_allclose(state.log_probs[0], math.log(0.25), rtol=0, atol=1e-12)
-        assert state.log_probs[0].shape == (4,)
+        np.testing.assert_allclose(s.log_probs(state)[0], math.log(0.25), rtol=0, atol=1e-12)
+        assert s.log_probs(state).shape == (1, 4)
 
     def test_contract(self):
         scorer_contract_checks(UniformScorer(7), tol=1e-12)
@@ -69,7 +69,7 @@ class TestNGramTraining:
         v = make_vocab(4)
         m = ngram_train([[0, 1, v.eos]], order=2, alpha=1e9, vocab=v)
         state = m.initial_state()
-        np.testing.assert_allclose(state.log_probs[0], math.log(1 / 4), atol=1e-8)
+        np.testing.assert_allclose(m.log_probs(state)[0], math.log(1 / 4), atol=1e-8)
 
     def test_every_distribution_sums_to_one(self, rng):
         v = make_vocab(6)
@@ -211,9 +211,9 @@ class TestAdvance:
         for w in (0, 2, 1, 3):
             states.append(scorer.step(states[-1], w)[0])
         tokens = rng.integers(0, scorer.vocab_size, size=len(states)).tolist()
-        got = scorer.advance(stack_states(states), range(len(states)), tokens)
+        got = scorer.log_probs(scorer.advance(stack_states(states), range(len(states)), tokens))
         for i, (state, w) in enumerate(zip(states, tokens)):
-            np.testing.assert_array_equal(got.log_probs[i], scorer.step(state, w)[1])
+            np.testing.assert_array_equal(got[i], scorer.step(state, w)[1])
 
     def test_step_needs_one_row(self, scorer):
         state = scorer.advance(scorer.initial_state(), [0, 0], [1, 2])
@@ -223,7 +223,7 @@ class TestAdvance:
 
 def assert_rows_bit_equal(got, want):
     """Equal bits in the distribution and every row array of two 1-row states."""
-    assert got.log_probs[0].tobytes() == want.log_probs[0].tobytes()
+    assert got.owner.log_probs(got).tobytes() == want.owner.log_probs(want).tobytes()
     assert len(got.rows) == len(want.rows)
     for a, b in zip(got.rows, want.rows):
         assert a.tobytes() == b.tobytes()
@@ -276,10 +276,13 @@ class LogProbsScorer(Scorer):
         return self._size - 1
 
     def initial_state(self, conditioning=None):
-        return DecodeState(self, [self.table[self._size]], (np.full(1, self._size),))
+        return DecodeState(self, (np.full(1, self._size),))
 
     def _advance(self, state, tokens):
-        return DecodeState(self, list(self.table[tokens]), (tokens,))
+        return DecodeState(self, (tokens,))
+
+    def log_probs(self, state):
+        return self.table[state.rows[0]]
 
 
 def reference_top_k(row, k, tokens):
@@ -318,7 +321,7 @@ def test_top_k_equals_a_per_row_computation(kind, size, seed):
             tokens = np.sort(rng.choice(size, size=int(rng.integers(0, size + 1)), replace=False))
             ids, scores, token_scores = scorer.top_k(state, k, tokens)
             assert ids.shape == scores.shape == (b, k) and token_scores.shape == (b, len(tokens))
-            for i, row in enumerate(state.log_probs):
+            for i, row in enumerate(scorer.log_probs(state)):
                 want = reference_top_k(row, k, tokens.tolist())
                 assert ids[i].tolist() == want[0]
                 assert scores[i].tolist() == want[1] and token_scores[i].tolist() == want[2]

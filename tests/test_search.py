@@ -71,7 +71,11 @@ class ChainScorer(Scorer):
         self.chain = tuple(chain)
         self._vocab_size = vocab_size
         self._eos = eos
-        self._uniform = np.full(vocab_size, -math.log(vocab_size))
+        # row p: the distribution at chain position p, uniform past the chain
+        n = len(self.chain)
+        self._table = np.full((n + 1, vocab_size), NEG_INF)
+        self._table[np.arange(n), self.chain] = 0.0
+        self._table[n] = -math.log(vocab_size)
 
     @property
     def vocab_size(self):
@@ -81,21 +85,17 @@ class ChainScorer(Scorer):
     def eos(self):
         return self._eos
 
-    def _row(self, pos):
-        if pos >= len(self.chain):
-            return self._uniform
-        row = np.full(self._vocab_size, NEG_INF)
-        row[self.chain[pos]] = 0.0
-        return row
-
     def initial_state(self, conditioning=None):
-        return DecodeState(self, [self._row(0)], (np.zeros(1, dtype=int),))
+        return DecodeState(self, (np.zeros(1, dtype=int),))
 
     def _advance(self, state, tokens):
         n = len(self.chain)
         pos = [p + 1 if p < n and w == self.chain[p] else n
                for p, w in zip(state.rows[0].tolist(), tokens.tolist())]
-        return DecodeState(self, [self._row(p) for p in pos], (np.array(pos),))
+        return DecodeState(self, (np.array(pos),))
+
+    def log_probs(self, state):
+        return self._table[state.rows[0]]
 
 
 class RepeatRewardScorer(Scorer):
@@ -117,19 +117,24 @@ class RepeatRewardScorer(Scorer):
 
     def _row(self, prev, repeated):
         logits = np.zeros(self._vocab_size)
-        if prev is not None and prev != self._eos:
+        if prev >= 0 and prev != self._eos:
             logits[prev] += 3.0
         logits[self._eos] = 6.0 if repeated else -1.0
         shifted = logits - logits.max()
         return shifted - math.log(np.exp(shifted).sum())
 
+    # rows: the previous token, -1 before the first, and whether it repeated
+    # the one before it
+
     def initial_state(self, conditioning=None):
-        return DecodeState(self, [self._row(None, False)], (np.full(1, -1),))
+        return DecodeState(self, (np.full(1, -1), np.zeros(1, dtype=bool)))
 
     def _advance(self, state, tokens):
-        # rows: the previous token, -1 before the first
-        rows = [self._row(w, w == prev) for prev, w in zip(state.rows[0].tolist(), tokens.tolist())]
-        return DecodeState(self, rows, (tokens,))
+        return DecodeState(self, (tokens, tokens == state.rows[0]))
+
+    def log_probs(self, state):
+        prev, repeated = state.rows
+        return np.array([self._row(p, r) for p, r in zip(prev.tolist(), repeated.tolist())])
 
 
 class NoEosScorer(Scorer):
@@ -139,9 +144,8 @@ class NoEosScorer(Scorer):
     def __init__(self, vocab_size, eos):
         self._vocab_size = vocab_size
         self._eos = eos
-        row = np.full(vocab_size, -math.log(vocab_size - 1))
-        row[eos] = NEG_INF
-        self._state = DecodeState(self, [row])
+        self._row = np.full(vocab_size, -math.log(vocab_size - 1))
+        self._row[eos] = NEG_INF
 
     @property
     def vocab_size(self):
@@ -152,15 +156,19 @@ class NoEosScorer(Scorer):
         return self._eos
 
     def initial_state(self, conditioning=None):
-        return self._state
+        return DecodeState(self, (np.full(1, -1),))
 
     def _advance(self, state, tokens):
-        return state
+        return DecodeState(self, (tokens,))
+
+    def log_probs(self, state):
+        return np.broadcast_to(self._row, (len(state), self._vocab_size))
 
 
 class LastTokenScorer(Scorer):
     """Next-token distribution looked up by the previous token (None before
-    the first); previous tokens without an entry use `default`."""
+    the first); previous tokens without an entry use `default`. Its rows are
+    the previous tokens, -1 before the first."""
 
     def __init__(self, rows, default, eos):
         self._rows = rows
@@ -176,10 +184,14 @@ class LastTokenScorer(Scorer):
         return self._eos
 
     def initial_state(self, conditioning=None):
-        return DecodeState(self, [self._rows.get(None, self._default)])
+        return DecodeState(self, (np.full(1, -1),))
 
     def _advance(self, state, tokens):
-        return DecodeState(self, [self._rows.get(w, self._default) for w in tokens.tolist()])
+        return DecodeState(self, (tokens,))
+
+    def log_probs(self, state):
+        prev = state.rows[0].tolist()
+        return np.array([self._rows.get(w if w >= 0 else None, self._default) for w in prev])
 
 
 def chair_table_setup():
@@ -403,7 +415,7 @@ class TestNoRepeatRule:
         total = 0.0
         state = m.initial_state()
         for w in best.tokens:
-            step_lp = float(state.log_probs[0][w])
+            step_lp = float(m.log_probs(state)[0][w])
             assert step_lp <= 0.0
             total += step_lp
             state, _ = m.step(state, w)
@@ -730,6 +742,34 @@ def test_one_ngram_model_serves_many_searches(seed, order):
     twin_state = copy.deepcopy(state)
     w = int(rng.integers(size))
     assert shared.step(state, w)[1].tobytes() == twin_state.owner.step(twin_state, w)[1].tobytes()
+
+
+class SpyNGram(NGramModel):
+    """An n-gram model that counts its `log_probs` calls."""
+
+    calls = 0
+
+    def log_probs(self, state):
+        self.calls += 1
+        return super().log_probs(state)
+
+
+@pytest.mark.parametrize("kind", ["disjunction", "phrase", "product"])
+def test_search_never_reads_ngram_log_probs(kind):
+    """The n-gram model answers `top_k` from its own caches, so a search never
+    makes its (B x |V|) blocks, and gives the plain model's beams."""
+    rng = np.random.default_rng(len(kind))
+    size = 16
+    m = random_ngram(rng, make_vocab(size), order=2, sentences=20)
+    spy = SpyNGram.from_dict(m.to_dict())
+    fsm = _random_machine(rng, kind, size)
+    for beam in (1, 3, 5):
+        params = SearchParams(beam_size=beam, max_len=6)
+        assert _beam_records(final_beams(spy, fsm, params)[0]) == _beam_records(final_beams(m, fsm, params)[0])
+        constrained_beam_search(spy, fsm, params)
+    assert spy.calls == 0
+    spy.step(spy.initial_state(), 0)
+    assert spy.calls == 1
 
 
 def _narrow_beam_instance(seed):
