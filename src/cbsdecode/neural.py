@@ -571,11 +571,13 @@ def _model_from_arrays(data: dict) -> CaptionModel:
     if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
         raise DataError("not a caption model checkpoint")
     version = meta.get("version")
-    if version not in (1, CHECKPOINT_VERSION):
-        raise DataError(f"unsupported checkpoint version {version}")
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
+        raise DataError(f"unsupported checkpoint version {version!r}")
     for name, a in data.items():
         if name != "__meta__" and a.dtype.kind not in "iuf":
             raise DataError(f"{name} is not a real numeric array")
+        if name != "__meta__" and not np.isfinite(a).all():
+            raise DataError(f"{name} holds a value that is not finite")
 
     def layer(prefix: str) -> LstmLayerParams:
         if version == 1:

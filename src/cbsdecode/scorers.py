@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from abc import ABC, abstractmethod
 from collections import Counter
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -110,12 +111,13 @@ class Scorer(ABC):
         tokens = np.asarray(tokens, dtype=np.intp)
         if parents.ndim != 1 or parents.shape != tokens.shape:
             raise ContractError(f"{parents.size} parents for {tokens.size} tokens")
-        bad = parents[(parents < 0) | (parents >= len(state))]
-        if bad.size:
-            raise ContractError(f"parent {bad[0]} out of range for {len(state)} decode states")
-        v = self.vocab_size
-        bad = tokens[(tokens < 0) | (tokens >= v)]
-        if bad.size:
+        # one max each checks both ends: a negative id reads as a huge unsigned one
+        n, v = len(state), self.vocab_size
+        if parents.size and parents.view(np.uintp).max() >= n:
+            bad = parents[(parents < 0) | (parents >= n)]
+            raise ContractError(f"parent {bad[0]} out of range for {n} decode states")
+        if tokens.size and tokens.view(np.uintp).max() >= v:
+            bad = tokens[(tokens < 0) | (tokens >= v)]
             raise ContractError(f"token id {bad[0]} out of range for |V|={v}")
         gathered = state.take(parents)
         return self._advance(gathered, tokens) if tokens.size else gathered
@@ -215,15 +217,6 @@ class NGramModel(Scorer):
     def eos(self) -> int:
         return self.vocab.eos
 
-    def _count(self, seq: Sequence[int]) -> None:
-        padded = (START,) * (self.order - 1) + tuple(seq)
-        k = self.order
-        for i in range(len(seq)):
-            ctx = padded[i : i + k - 1]
-            w = padded[i + k - 1]
-            self.context_counts[ctx] += 1
-            self.continuations.setdefault(ctx, Counter())[w] += 1
-
     def logprob(self, context: Sequence[int], w: int) -> float:
         """ln((count(ctx, w) + a) / (count(ctx) + a|V|)) over the last k-1
         context tokens. Strictly finite."""
@@ -245,9 +238,9 @@ class NGramModel(Scorer):
 
     # decode state: rows = ((B,) context ids,). A context's id is its place in
     # `_contexts`, and row id of `_logp` is its distribution. The context after token w
-    # depends on the context's tail, all but its first token:
-    # `_next[_tail[id], w]` is its id, -1 until first asked for. `_top` holds
-    # the K best ids of the contexts below `_ranked`, K the widest k asked for
+    # depends on the context's tail, all but its first token: `_next[_tail[id], w]`
+    # is its id, -1 until first asked for. `_top` and `_top_lp` hold the K best
+    # ids and log-probs of the contexts below `_ranked`, K the widest k asked for
 
     def _build_cache(self) -> None:
         """Fresh caches that hold the contexts of `_contexts` under the same ids."""
@@ -258,6 +251,7 @@ class NGramModel(Scorer):
         self._tail = np.empty(0, dtype=np.int32)
         self._next = np.empty((0, v), dtype=np.int32)
         self._top = np.empty((0, 0), dtype=np.intp)
+        self._top_lp = np.empty((0, 0))
         self._ranked = 0
         contexts, self._contexts = self._contexts, []
         for ctx in contexts:
@@ -271,8 +265,8 @@ class NGramModel(Scorer):
         self._contexts.append(ctx)
         if cid == len(self._logp):
             cap = max(8, 2 * cid)
-            self._logp, self._tail, self._top = (
-                _grown(a, cap) for a in (self._logp, self._tail, self._top)
+            self._logp, self._tail, self._top, self._top_lp = (
+                _grown(a, cap) for a in (self._logp, self._tail, self._top, self._top_lp)
             )
         counts = np.zeros(self.vocab_size)
         for w, c in self.continuations.get(ctx, {}).items():
@@ -314,11 +308,12 @@ class NGramModel(Scorer):
         n = len(self._contexts)
         if k > self._top.shape[1]:
             self._top, self._ranked = np.empty((len(self._logp), k), dtype=np.intp), 0
+            self._top_lp = np.empty((len(self._logp), k))
         if self._ranked < n:
-            self._top[self._ranked : n] = _top_ids(self._logp[self._ranked : n], self._top.shape[1])
+            self._top[self._ranked : n] = ids = _top_ids(self._logp[self._ranked : n], self._top.shape[1])
+            self._top_lp[self._ranked : n] = np.take_along_axis(self._logp[self._ranked : n], ids, axis=1)
             self._ranked = n
-        ids = self._top[ctx, :k]
-        return ids, self._logp[ctx[:, None], ids], self._logp[ctx[:, None], tokens]
+        return self._top[ctx, :k], self._top_lp[ctx, :k], self._logp[ctx[:, None], tokens]
 
     # persistence: JSON dump of counts + alpha + vocabulary
 
@@ -389,18 +384,40 @@ def _grown(a: np.ndarray, rows: int) -> np.ndarray:
 def ngram_train(
     corpus: Iterable[Sequence[int]], order: int, alpha: float, vocab: Vocabulary
 ) -> NGramModel:
-    """Count every k-gram and (k-1)-gram context with sentence-start padding.
+    """Count every k-gram and (k-1)-gram context with sentence-start padding,
+    in one sort of k-gram keys of base-(|V| + 1) digits, START as 0 (Python
+    ints where int64 would overflow).
 
     Sentences are expected to end with the end-of-sequence token. The model is
     immutable afterwards.
     """
-    model = NGramModel(order=order, alpha=alpha, vocab=vocab)
-    n = 0
-    for seq in corpus:
-        model._count(seq)
-        n += 1
-    if n == 0:
+    model, corpus, v = NGramModel(order=order, alpha=alpha, vocab=vocab), list(corpus), len(vocab)
+    if not corpus:
         raise DataError("empty training corpus")
+    lengths = np.fromiter(map(len, corpus), dtype=np.intp, count=len(corpus))
+    keys = np.fromiter(chain.from_iterable(corpus), dtype=np.int64, count=int(lengths.sum()))
+    if keys.size and (keys.min() < 0 or keys.max() >= v):
+        raise DataError(f"token id {keys[(keys < 0) | (keys >= v)][0]} out of range for |V|={v}")
+    base = v + 1
+    keys = keys if base**order <= np.iinfo(np.int64).max else keys.astype(object)
+    keys += 1
+    d, heads = keys.copy(), (np.cumsum(lengths) - lengths)[lengths > 0]
+    for _ in range(1, order):  # add each token further back, times base ** distance
+        d[1:] = d[:-1]
+        d[heads] = 0
+        d *= base
+        keys += d
+    keys.sort()
+    starts = np.flatnonzero(np.r_[keys.size > 0, keys[1:] != keys[:-1]])
+    counts, keys = np.diff(starts, append=keys.size), keys[starts]
+    first = np.flatnonzero(np.diff(keys // base, prepend=-1))  # each context's first k-gram
+    contexts = keys[first, None] // base ** np.arange(order - 1, 0, -1, dtype=keys.dtype) % base - 1
+    # the token ids as shared int objects, one per id, not one per k-gram
+    words = np.array(range(-1, v), dtype=object)[(keys % base).astype(np.intp)].tolist()
+    counts, bounds = counts.tolist(), first.tolist() + [len(words)]
+    for ctx, a, b in zip(map(tuple, contexts.tolist()), bounds, bounds[1:]):
+        model.context_counts[ctx] = sum(counts[a:b])
+        model.continuations[ctx] = Counter(dict(zip(words[a:b], counts[a:b])))
     return model
 
 

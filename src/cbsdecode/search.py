@@ -97,11 +97,13 @@ def _run_search(
     fsm: Fsm,
     params: SearchParams,
     conditioning: np.ndarray | None = None,
-) -> tuple[tuple, tuple, int]:
-    """Multi-beam decode loop. Returns the final live hypotheses as arrays of
-    FSM state, logprob and a token matrix (one row each); the completed ones
-    as a list of token tuples and arrays of FSM state and logprob; and the
-    steps taken. Both parts are grouped by beam, each beam best-first.
+) -> tuple[tuple, tuple, tuple, int]:
+    """Multi-beam decode loop. Returns the search tree as (parent, token)
+    lists, node 0 the empty root, whose paths `_path` reads back; the final
+    live hypotheses as arrays of FSM state, logprob and node, in
+    lexicographic order; the completed ones as arrays of FSM state, logprob
+    and the node they end at before the end-of-sequence token, grouped by
+    beam, each beam best-first; and the steps taken.
 
     Each timestep works on arrays over every live hypothesis at once, and
     asks the scorer once, through `top_k`, for every live row's best k tokens
@@ -112,9 +114,10 @@ def _run_search(
     token asc), skipping the no-repeat token and -inf scores. Each
     destination beam then keeps the top `beam_size` of its completed
     hypotheses and the candidates routed to it, by (logprob desc, length
-    asc, lexicographic tokens), in one lexsort.
+    asc, lexicographic tokens), in one lexsort. State ids have the smallest
+    unsigned type that holds them all, so numpy radix-sorts its last key.
     Live hypotheses at a step all have its length and distinct token
-    tuples, so among candidates the lexicographic order is (parent's rank,
+    tuples, so among candidates the lexicographic order is (parent row,
     token), and completed hypotheses are shorter than every candidate."""
     if scorer.vocab_size < 1:
         raise ContractError("scorer has an empty vocabulary")
@@ -125,11 +128,12 @@ def _run_search(
     eos, b, v = scorer.eos, params.beam_size, scorer.vocab_size
     table = fsm.route_table()
     nx = table.tokens.shape[0]
-    # listed[s * (nx + 1) + col[w]]: whether state s lists token w
+    key = np.min_scalar_type(fsm.num_states - 1)
+    # listed[s, col[w]]: whether state s lists token w, sending it to dest[s, col[w]]
     listed = np.zeros((fsm.num_states, nx + 1), dtype=bool)
     listed[:, :nx] = table.dest >= 0
-    listed = listed.ravel()
-    defaults = np.array(fsm.defaults)
+    dest = table.dest.astype(key)
+    defaults = np.array(fsm.defaults, dtype=key)
     accepting = np.zeros(fsm.num_states, dtype=bool)
     accepting[list(fsm.accepting)] = True
     # a row's best (beam + listed + 1) always cover the default route's best
@@ -137,18 +141,16 @@ def _run_search(
     k = min(v, b + 1 + max(len(row) for row in fsm.rows))
 
     # live hypotheses: one decode-state batch, and parallel arrays of FSM
-    # state, logprob, tokens (one row each) and rank in lexicographic order
+    # state, logprob and last token; their nodes are first, first + 1, ...
+    # The tree lists each node's (parent node, token), the root's first
     states = scorer.initial_state(conditioning)
-    fsm_state = np.array([fsm.start])
+    fsm_state = np.array([fsm.start], dtype=key)
     logprob = np.zeros(1)
-    tokens = np.zeros((1, 0), dtype=np.int64)
-    rank = np.zeros(1, dtype=np.int64)
-    # completed hypotheses: token tuples, and parallel arrays of FSM state
-    # and logprob. Kept in selection order, so ones of one beam with equal
-    # logprobs stand in (length, lexicographic) order
-    finished: list[tuple[int, ...]] = []
-    done_state = np.zeros(0, dtype=np.int64)
-    done_lp = np.zeros(0)
+    last_token, first, tree = None, 0, [([0], [0])]
+    # completed hypotheses: parallel arrays of FSM state, logprob and node.
+    # Kept in selection order, so ones of one beam with equal logprobs stand
+    # in (length, lexicographic) order
+    done_state, done_lp, done_node = np.zeros(0, dtype=key), np.zeros(0), np.zeros(0, dtype=np.intp)
 
     steps = 0
     for t in range(params.max_len):
@@ -157,10 +159,10 @@ def _run_search(
         steps += 1
         ids, scores, xs = scorer.top_k(states, k, table.tokens)
         cols = table.col[ids]
-        last = tokens[:, -1:] if params.no_repeat and t else -1
+        last = last_token[:, None] if params.no_repeat and t else -1
 
         # default route
-        ok = ~listed[(fsm_state * (nx + 1))[:, None] + cols]
+        ok = ~listed.ravel()[(fsm_state.astype(np.intp) * (nx + 1))[:, None] + cols]
         ok &= (ids != last) & (scores > _NEG_INF)
         ok &= ok.cumsum(axis=1) <= b
         f = np.flatnonzero(ok)
@@ -169,9 +171,8 @@ def _run_search(
 
         # exception routes: the best b per (parent, destination)
         if nx:
-            xd = table.dest[fsm_state]
-            f = np.flatnonzero((xd >= 0) & (table.tokens != last) & (xs > _NEG_INF))
-            par, w, sc, d = f // nx, table.tokens[f % nx], xs.ravel()[f], xd.ravel()[f]
+            f = np.flatnonzero(listed[fsm_state, :nx] & (table.tokens != last) & (xs > _NEG_INF))
+            par, w, sc, d = f // nx, table.tokens[f % nx], xs.ravel()[f], dest[fsm_state].ravel()[f]
             if table.widest > b:
                 order = np.lexsort((w, -sc, d, par))
                 group = (par * fsm.num_states + d)[order]
@@ -184,35 +185,30 @@ def _run_search(
         # completed hypothesis's tie key is its (negative) position, which
         # puts it in order and ahead of every candidate, all longer
         lp = logprob[par] + sc
-        lex = rank[par] * v + w
-        nd = len(finished)
+        lex = par * v + w
+        nd = done_state.shape[0]
         pool_d = np.concatenate([done_state, d])
         pool_lp = np.concatenate([done_lp, lp])
-        order = np.lexsort((
-            np.concatenate([np.arange(-nd, 0), lex]),
-            -pool_lp,
-            pool_d,
-        ))
+        order = np.lexsort((np.concatenate([np.arange(-nd, 0), lex]), -pool_lp, pool_d))
         sd = pool_d[order]
         kept = order[np.arange(order.shape[0]) - np.searchsorted(sd, sd) < b]
 
         # the kept completed hypotheses, old and new, in kept order: each
-        # beam's best first
+        # beam's best first. A new one's node is its parent's
         is_done = np.concatenate([np.ones(nd, dtype=bool), w == eos])
         done = kept[is_done[kept]]
-        finished = [finished[i] if i < nd else tuple(tokens[par[i - nd]].tolist()) + (eos,)
-                    for i in done.tolist()]
+        done_node = np.concatenate([done_node, first + par])[done]
         done_state, done_lp = pool_d[done], pool_lp[done]
 
-        # the kept live candidates, beam by beam and best first, advanced in
-        # one scorer call
+        # the kept live candidates in lexicographic order, advanced in one
+        # scorer call
         grow = kept[~is_done[kept]] - nd
-        parents = par[grow]
-        states = scorer.advance(states, parents, w[grow])
+        grow = grow[np.argsort(lex[grow])]
+        parents, last_token = par[grow], w[grow]
+        states = scorer.advance(states, parents, last_token)
+        tree.append((first + parents, last_token))
+        first += logprob.shape[0]
         fsm_state, logprob = d[grow], lp[grow]
-        tokens = np.concatenate([tokens[parents], w[grow, None]], axis=1)
-        rank = np.empty(grow.shape[0], dtype=np.int64)
-        rank[np.argsort(lex[grow])] = np.arange(grow.shape[0])
 
         # terminate once the best accepted completion beats every incomplete
         # hypothesis in every beam
@@ -221,7 +217,17 @@ def _run_search(
         if acc.any() and (frontier == _NEG_INF or done_lp[acc].max() > frontier):
             break
 
-    return (fsm_state, logprob, tokens), (finished, done_state, done_lp), steps
+    tree = tuple(np.concatenate(x).tolist() for x in zip(*tree))
+    live = fsm_state, logprob, np.arange(first, first + logprob.shape[0])
+    return tree, live, (done_state, done_lp, done_node), steps
+
+
+def _path(tree: tuple[list[int], list[int]], node: int) -> tuple[int, ...]:
+    """The tokens from the root of `_run_search`'s tree to `node`."""
+    path = ()
+    while node:
+        path, node = (tree[1][node],) + path, tree[0][node]
+    return path
 
 
 def _result_from_per_state(per_state_best: dict[int, Hypothesis], fsm: Fsm) -> DecodeResult:
@@ -256,12 +262,12 @@ def constrained_beam_search(
     Deterministic: ties are broken by (logprob desc, length asc,
     lexicographic token ids).
     """
-    _, (finished, done_state, done_lp), _ = _run_search(scorer, fsm, params, conditioning)
+    tree, _, (done_state, done_lp, done_node), _ = _run_search(scorer, fsm, params, conditioning)
     # each state's completed hypotheses stand best first: its first is its best
     states, first = np.unique(done_state, return_index=True)
     per_state_best = {
-        s: Hypothesis(finished[i], float(done_lp[i]), s, completed=True)
-        for s, i in zip(states.tolist(), first.tolist())
+        s: Hypothesis(_path(tree, node) + (scorer.eos,), lp, s, completed=True)
+        for s, node, lp in zip(states.tolist(), done_node[first].tolist(), done_lp[first].tolist())
     }
     return _result_from_per_state(per_state_best, fsm)
 

@@ -12,6 +12,7 @@ lays out its GEMMs.
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,20 @@ def ngram_sequence_logprob(model, seq) -> float:
         total += model.logprob(context, w)
         context.append(w)
     return total
+
+
+def reference_ngram_counts(corpus, order):
+    """(context_counts, continuations) of `ngram_train`, counted one token at
+    a time: each context is the order - 1 tokens before a token, padded with
+    START (-1) at the sentence start."""
+    context_counts, continuations = Counter(), {}
+    for seq in corpus:
+        padded = (-1,) * (order - 1) + tuple(seq)
+        for i in range(len(seq)):
+            ctx = padded[i : i + order - 1]
+            context_counts[ctx] += 1
+            continuations.setdefault(ctx, Counter())[padded[i + order - 1]] += 1
+    return context_counts, continuations
 
 
 def filtered_argmax(model, eos, max_len, accepts, no_repeat=True):

@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import logging
-import math
 
 import jsonschema
 import numpy as np
@@ -247,10 +246,14 @@ class TestExitCodes:
         assert main(["decode", "--model", str(bad)]) == 66
         capsys.readouterr()
 
-    def test_non_finite_checkpoint_is_numeric_error(self, tmp_path, capsys, rng):
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_overflowing_checkpoint_is_numeric_error(self, tmp_path, capsys, rng):
+        """Finite parameters whose tied logits overflow to inf: the model
+        emits a non-finite distribution (a non-finite parameter is a data
+        error at load, in CHECKPOINT_DEFECTS)."""
         v = Vocabulary.from_tokens(["a", "b"])
         m = CaptionModel.build(v, rng.normal(size=(4, 3)), 3, 1, rng=rng)
-        m.w_v[0, 0] = math.nan
+        m.w_v[:], m.b_v[:], m.w_e[:] = 0.0, 3.0, 1e308
         path = tmp_path / "bad.npz"
         save_checkpoint(m, path)
         code = main(["decode", "--scorer", "neural", "--model", str(path)])
@@ -604,6 +607,15 @@ def _checkpoint_with(meta=None, **arrays):
     return mutate
 
 
+def _first_set_to(value):
+    """An array mutation: a copy of the array with its first entry `value`."""
+    def change(a):
+        a = a.copy()
+        a.flat[0] = value
+        return a
+    return change
+
+
 # (defect, the slice of a valid checkpoint's bytes or a mutation of them, what
 # the message must say), each read by `expand` and by `decode`, which reads
 # its model as a checkpoint with `--scorer neural` whatever its first bytes are
@@ -618,6 +630,15 @@ CHECKPOINT_DEFECTS = [
         ("vocab a number", _checkpoint_with(meta=lambda m: {**m, "vocab": 7}),
          "vocabulary must be a list of words"),
         ("b_v of strings", _checkpoint_with(b_v=lambda a: a.astype(str)), "b_v is not a real numeric array"),
+        ("w_v all NaN", _checkpoint_with(w_v=lambda a: np.full_like(a, np.nan)),
+         "w_v holds a value that is not finite"),
+        ("one +inf in w_e", _checkpoint_with(w_e=_first_set_to(np.inf)), "w_e holds a value that is not finite"),
+        ("NaN in start_embedding", _checkpoint_with(start_embedding=_first_set_to(np.nan)),
+         "start_embedding holds a value that is not finite"),
+        ("version the string '2'", _checkpoint_with(meta=lambda m: {**m, "version": "2"}),
+         "unsupported checkpoint version '2'"),
+        ("version true", _checkpoint_with(meta=lambda m: {**m, "version": True}),
+         "unsupported checkpoint version True"),
     ]
 ]
 

@@ -834,5 +834,5 @@ class TestStepCopies:
         monkeypatch.setattr(
             CaptionModel, "_tied_logits", lambda self, h2: calls.append(len(h2)) or original(self, h2)
         )
-        _, _, steps = _run_search(m, trivial_fsm(m.vocab_size), SearchParams(beam_size=3, max_len=max_len))
+        *_, steps = _run_search(m, trivial_fsm(m.vocab_size), SearchParams(beam_size=3, max_len=max_len))
         assert steps >= 1 and len(calls) == steps

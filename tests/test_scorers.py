@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from cbsdecode import (
     sequence_logprob,
 )
 from conftest import make_vocab, random_ngram, stack_states
-from oracles import ngram_sequence_logprob
+from oracles import ngram_sequence_logprob, reference_ngram_counts
 
 
 def scorer_contract_checks(scorer, conditioning=None, tol=1e-6, steps=5, rng=None):
@@ -96,6 +97,39 @@ class TestNGramTraining:
         v = make_vocab(3)
         with pytest.raises(DataError):
             ngram_train([[0, v.eos]], order=2, alpha=0.0, vocab=v)
+
+    @given(
+        size=st.integers(2, 8),
+        order=st.integers(1, 4),
+        corpus=st.lists(st.lists(st.integers(0, 7), max_size=7), min_size=1, max_size=12),
+        empty_only=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_keys_count_as_the_token_loop(self, size, order, corpus, empty_only):
+        """The sort-based count gives the counts of one token at a time, empty
+        sentences and a corpus of only empty sentences included; every
+        context and next token is a Python int."""
+        corpus = [[] for _ in corpus] if empty_only else [[w % size for w in s] for s in corpus]
+        m = ngram_train(corpus, order=order, alpha=0.5, vocab=make_vocab(size))
+        assert (m.context_counts, m.continuations) == reference_ngram_counts(corpus, order)
+        for ctx, conts in m.continuations.items():
+            assert all(type(x) is int for x in (*ctx, *conts, *conts.values(), m.context_counts[ctx]))
+
+    def test_keys_past_int64_count_as_the_token_loop(self, rng):
+        """(|V| + 1) ** order past int64: the keys are Python ints, and the
+        counts those of one token at a time."""
+        size, order = 8, 22
+        assert (size + 1) ** order > np.iinfo(np.int64).max
+        corpus = [rng.integers(0, size, size=rng.integers(0, 30)).tolist() for _ in range(20)]
+        m = ngram_train(corpus, order=order, alpha=0.5, vocab=make_vocab(size))
+        assert (m.context_counts, m.continuations) == reference_ngram_counts(corpus, order)
+
+    @pytest.mark.parametrize("bad", [-1, 5, 99])
+    def test_token_id_out_of_range_rejected(self, bad):
+        """An id outside [0, |V|) is a data error, not a silently counted
+        (or, as a key digit, aliased) token."""
+        with pytest.raises(DataError, match=re.escape(f"token id {bad} out of range for |V|=5")):
+            ngram_train([[0, 4], [1, bad, 2, 4]], order=2, alpha=1.0, vocab=make_vocab(5))
 
 
 class TestNGramLogprob:
@@ -205,6 +239,24 @@ class TestAdvance:
         with pytest.raises(ContractError):
             scorer.advance(state, parents, tokens)
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "parents,tokens,message",
+        [
+            ([0, -1, 3], [0, 1, 2], "parent -1 out of range for 3 decode states"),
+            ([0, 3, -1], [0, 1, 2], "parent 3 out of range for 3 decode states"),
+            ([2, 1, 0], [0, -1, "V"], "token id -1 out of range for |V|={v}"),
+            ([2, 1, 0], ["V", 1, -1], "token id {v} out of range for |V|={v}"),
+        ],
+    )
+    def test_first_bad_argument_is_named(self, scorer, parents, tokens, message):
+        """The bounds are checked by reduction; the message names the first
+        value out of range, at either end of it."""
+        v = scorer.vocab_size
+        state = scorer.advance(scorer.initial_state(), [0, 0, 0], [0, 1, 2])
+        tokens = [v if w == "V" else w for w in tokens]
+        with pytest.raises(ContractError, match=re.escape(message.format(v=v))):
+            scorer.advance(state, parents, tokens)
 
     def test_equals_a_loop_of_step(self, scorer, rng):
         states = [scorer.initial_state()]

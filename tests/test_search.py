@@ -28,7 +28,7 @@ from cbsdecode import (
 )
 from cbsdecode.neural import CaptionModel
 from cbsdecode.scorers import DecodeState, Scorer
-from cbsdecode.search import Hypothesis, _run_search, decode_best, phrase_machines
+from cbsdecode.search import Hypothesis, _path, _run_search, decode_best, phrase_machines
 from conftest import make_vocab, random_ngram
 from oracles import (
     filtered_argmax,
@@ -43,15 +43,19 @@ NEG_INF = float("-inf")
 
 def final_beams(scorer, fsm, params):
     """`_run_search`'s final hypotheses as beams, one per FSM state: its live
-    hypotheses, then its completed ones, each in the order the search keeps
-    them; and the steps taken."""
-    live, done, steps = _run_search(scorer, fsm, params)
-    (state, logprob, tokens), (finished, done_state, done_lp) = live, done
+    hypotheses best-first, then its completed ones in the order the search
+    keeps them; and the steps taken. Tokens are read back from the search
+    tree, where the live hypotheses stand in lexicographic order."""
+    tree, live, done, steps = _run_search(scorer, fsm, params)
+    (state, logprob, node), (done_state, done_lp, done_node) = live, done
+    paths = [_path(tree, n) for n in node.tolist()]
+    assert paths == sorted(paths)
     beams = [[] for _ in range(fsm.num_states)]
-    for s, lp, toks in zip(state.tolist(), logprob.tolist(), tokens.tolist()):
-        beams[s].append(Hypothesis(tuple(toks), lp, s))
-    for toks, s, lp in zip(finished, done_state.tolist(), done_lp.tolist()):
-        beams[s].append(Hypothesis(toks, lp, s, completed=True))
+    for s, lp, toks in zip(state.tolist(), logprob.tolist(), paths):
+        beams[s].append(Hypothesis(toks, lp, s))
+    beams = [sorted(beam, key=Hypothesis.sort_key) for beam in beams]
+    for n, s, lp in zip(done_node.tolist(), done_state.tolist(), done_lp.tolist()):
+        beams[s].append(Hypothesis(_path(tree, n) + (scorer.eos,), lp, s, completed=True))
     return beams, steps
 
 
@@ -698,6 +702,60 @@ class TestArrayBeamEquivalence:
         assert {s: _beam_records([[h]]) for s, h in best.items()} == {
             s: _beam_records([first]) for s, first in want_best.items() if first
         }
+
+
+def _jumping_machine(n, size):
+    """An n-state machine over |V| = size: from state s, token 0 steps to
+    s + 1, token 1 jumps to the mirror state n - 1 - s and token 2 to
+    5s + 1 (mod n); every other token self-loops."""
+    rows = [{0: (s + 1) % n, 1: n - 1 - s, 2: (5 * s + 1) % n} for s in range(n)]
+    return Fsm(n, 0, {n // 2, n - 1}, size, range(n), rows)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 512])
+def test_state_ids_at_the_edges_of_the_key_type(n):
+    """State ids are uint8 keys up to 256 states and uint16 keys above: on
+    either side of that edge the search gives the reference loop's beams,
+    with hypotheses in the machine's top state ids."""
+    rng = np.random.default_rng(n)
+    size = 8
+    scorer = random_ngram(rng, make_vocab(size), sentences=20)
+    fsm = _jumping_machine(n, size)
+    assert _run_search(scorer, fsm, SearchParams(max_len=1))[2][0].dtype == (np.uint8 if n <= 256 else np.uint16)
+    for beam, no_repeat in ((1, True), (3, False), (5, True)):
+        params = SearchParams(beam_size=beam, max_len=7, no_repeat=no_repeat)
+        got, steps = final_beams(scorer, fsm, params)
+        want, want_steps = reference_beams(scorer, fsm, params)
+        assert steps == want_steps
+        assert _beam_records(got) == _beam_records(want)
+        assert any(got[s] for s in range(n - 3, n))
+
+
+def test_largest_disjunction_machine_with_uint16_and_int64_keys(monkeypatch):
+    """The 16-disjunction machine has 65,536 states, ids up to 65,535, all a
+    uint16 key holds. A scorer that only steps one or two tokens up reaches
+    its accepting state 65,535; its beams with uint16 keys equal those with
+    int64 keys and the reference loop's."""
+    fsm = compile_disjunctions(DisjunctiveConstraints.from_sets([{w} for w in range(16)]), 17)
+
+    def row(*ws):
+        logits = np.full(17, NEG_INF)
+        logits[list(ws)] = -0.5 * np.arange(len(ws))
+        return _log_softmax(logits)
+
+    rows = {w: row(*[x for x in (w + 1, w + 2) if x < 16] + [16] * (w >= 14)) for w in range(16)}
+    scorer = LastTokenScorer({None: row(0, 1), **rows}, row(16), eos=16)
+    params = SearchParams(beam_size=1, max_len=18)
+    assert _run_search(scorer, fsm, params)[2][0].dtype == np.uint16
+    narrow = final_beams(scorer, fsm, params)
+    assert [h.tokens for h in narrow[0][65535]] == [tuple(range(16)) + (16,)]
+    with monkeypatch.context() as m:
+        m.setattr(np, "min_scalar_type", lambda _: np.dtype(np.int64))
+        assert _run_search(scorer, fsm, params)[2][0].dtype == np.int64
+        wide = final_beams(scorer, fsm, params)
+    want = reference_beams(scorer, fsm, params)
+    assert narrow[1] == wide[1] == want[1]
+    assert _beam_records(narrow[0]) == _beam_records(wide[0]) == _beam_records(want[0])
 
 
 # what a copy of an NGramModel keeps: its counts and the context behind each
