@@ -45,6 +45,10 @@ GATES = ("i", "f", "o", "c")
 ROWS = 8
 TILE = 512
 
+# `train`'s loss passes score length-sorted chunks of this many sequences, at
+# any batch_size: wider GEMMs per step, and no rise in peak memory (32 had one)
+LOSS_CHUNK = 16
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp only ever sees -|z| <= 0, and each element takes the same formula
@@ -301,10 +305,6 @@ class CaptionModel(Scorer):
 
     # forward pass
 
-    def _output_logits(self, v: np.ndarray) -> np.ndarray:
-        # teacher-forced tied output layer: one (R x D) @ (D x |V|) GEMM over the real steps
-        return v @ self.w_e
-
     def _tied_logits(self, h2: np.ndarray) -> np.ndarray:
         """Decode-time tied output layer: (B x |V|) logits of B top-layer states.
         v, zero-padded up to ROWS rows, takes one GEMM over a view of w_e's
@@ -392,8 +392,8 @@ class CaptionModel(Scorer):
         l2 = _layer_sequence(self.layer2, x2)
         h2 = l2[0][1:][real]
         v = np.tanh(h2 @ self.w_v.T + self.b_v)
-        # the normaliser in place: shift by the row max, exponentiate, sum
-        e = self._output_logits(v)
+        # tied logits of the real steps, normalised in place: shift by the row max, exp, sum
+        e = v @ self.w_e
         e -= e.max(axis=1, keepdims=True)
         if not np.isfinite(e.min()):
             raise NumericError("model emitted a non-finite log distribution")
@@ -490,10 +490,11 @@ def train(
     seed: int = 0,
     log_every: int | None = None,
 ) -> TrainReport:
-    """Plain SGD on BPTT gradients, in place; each loss pass runs `batch_losses`
-    over the corpus in `batch_size` chunks. The embedding matrix is never
-    updated. Deterministic for a fixed seed: shuffling is the only stochastic
-    choice and it flows from one seeded generator."""
+    """Plain SGD on BPTT gradients, in place. Each loss pass runs `batch_losses`
+    on chunks of LOSS_CHUNK sequences sorted stably by length, whatever
+    `batch_size` is, and averages in corpus order. The embedding matrix is
+    never updated. Deterministic for a fixed seed: shuffling is the only
+    stochastic choice and it flows from one seeded generator."""
     if not corpus:
         raise DataError("empty training corpus")
     if epochs < 0 or batch_size < 1:
@@ -501,11 +502,14 @@ def train(
     rate = lr if callable(lr) else (lambda _epoch: lr)
     rng = np.random.default_rng(seed)
     params = m.trainable()
+    by_length = np.argsort([len(seq) for seq, _ in corpus], kind="stable")
+    chunks = [by_length[lo : lo + LOSS_CHUNK] for lo in range(0, len(corpus), LOSS_CHUNK)]
 
     def mean_loss() -> float:
-        chunks = range(0, len(corpus), batch_size)
-        losses = [m.batch_losses(corpus[lo : lo + batch_size]) for lo in chunks]
-        return float(np.mean(np.concatenate(losses)))
+        losses = np.empty(len(corpus))
+        for chunk in chunks:
+            losses[chunk] = m.batch_losses([corpus[i] for i in chunk])
+        return float(np.mean(losses))
 
     losses = [mean_loss()]
     for epoch in range(epochs):

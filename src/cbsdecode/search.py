@@ -152,14 +152,10 @@ def _run_search(
     # in (length, lexicographic) order
     done_state, done_lp, done_node = np.zeros(0, dtype=key), np.zeros(0), np.zeros(0, dtype=np.intp)
 
-    steps = 0
-    for t in range(params.max_len):
-        if not states:
-            break
-        steps += 1
+    for steps in range(1, params.max_len + 1):
         ids, scores, xs = scorer.top_k(states, k, table.tokens)
         cols = table.col[ids]
-        last = last_token[:, None] if params.no_repeat and t else -1
+        last = last_token[:, None] if params.no_repeat and steps > 1 else -1
 
         # default route
         ok = ~listed.ravel()[(fsm_state.astype(np.intp) * (nx + 1))[:, None] + cols]
@@ -200,22 +196,21 @@ def _run_search(
         done_node = np.concatenate([done_node, first + par])[done]
         done_state, done_lp = pool_d[done], pool_lp[done]
 
-        # the kept live candidates in lexicographic order, advanced in one
-        # scorer call
+        # the kept live candidates in lexicographic order
         grow = kept[~is_done[kept]] - nd
         grow = grow[np.argsort(lex[grow])]
         parents, last_token = par[grow], w[grow]
-        states = scorer.advance(states, parents, last_token)
         tree.append((first + parents, last_token))
         first += logprob.shape[0]
         fsm_state, logprob = d[grow], lp[grow]
 
-        # terminate once the best accepted completion beats every incomplete
-        # hypothesis in every beam
-        acc = accepting[done_state]
-        frontier = logprob.max() if states else _NEG_INF
-        if acc.any() and (frontier == _NEG_INF or done_lp[acc].max() > frontier):
+        # terminate with no live hypothesis, at max_len, or once the best
+        # accepted completion beats every live hypothesis in every beam;
+        # else advance the live ones in one scorer call
+        best = done_lp[accepting[done_state]].max(initial=_NEG_INF)
+        if not grow.shape[0] or steps == params.max_len or best > logprob.max():
             break
+        states = scorer.advance(states, parents, last_token)
 
     tree = tuple(np.concatenate(x).tolist() for x in zip(*tree))
     live = fsm_state, logprob, np.arange(first, first + logprob.shape[0])

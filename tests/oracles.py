@@ -4,10 +4,11 @@ Nothing here reuses the package's decoding or automaton paths: constraint
 checks are direct set-membership and substring scans, sequence scores are
 chain-rule sums of individually queried conditionals, and the argmax is a
 full enumeration. The reference search loop reads a machine's `defaults`
-and `rows` directly and steps each hypothesis alone with `step`. The one
-exception is the reference neural step at the end: it shares the package's
+and `rows` directly and steps each hypothesis alone with `step`. The two
+exceptions are at the end. The reference neural step shares the package's
 nonlinearities and differs from `CaptionModel._step_rows` only in how it
-lays out its GEMMs.
+lays out its GEMMs. The reference trainer shares the model's passes and
+differs from `neural.train` only in how it chunks its loss passes.
 """
 
 import itertools
@@ -266,3 +267,26 @@ def reference_step_rows(m, x, h1, c1, h2, c2, cond):
     z2 = _ref_blocked(np.hstack([h1, cond, h2]), m.layer2.w.T) + m.layer2.b
     h2, c2, _ = _gate_cell(z2, c2)
     return log_softmax(reference_tied_logits(m, h2)), h1, c1, h2, c2
+
+
+def reference_train(m, corpus, lr: float, epochs: int, batch_size: int, seed: int) -> list[float]:
+    """`neural.train` with a constant learning rate and its loss passes in
+    `batch_size` chunks of the corpus in corpus order, the layout before
+    length-sorted loss chunks. Trains `m` in place; returns the loss of each
+    pass, the pre-update pass first."""
+    rng = np.random.default_rng(seed)
+    params = m.trainable()
+
+    def mean_loss():
+        chunks = range(0, len(corpus), batch_size)
+        return float(np.mean(np.concatenate([m.batch_losses(corpus[lo : lo + batch_size]) for lo in chunks])))
+
+    losses = [mean_loss()]
+    for _ in range(epochs):
+        order = rng.permutation(len(corpus))
+        for lo in range(0, len(order), batch_size):
+            grads, _ = m.gradients([corpus[i] for i in order[lo : lo + batch_size]])
+            for name, arr in params.items():
+                arr -= lr * grads[name]
+        losses.append(mean_loss())
+    return losses

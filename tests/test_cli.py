@@ -544,7 +544,7 @@ def valid_files(workdir, tmp_path_factory):
         "model": (workdir / "model.json").read_text(encoding="utf-8"),
         "constraints": json.dumps({"disjunctions": [["chair"]], "phrases": [["a", "man"]]}),
         "lemmas": "chair\tchairs\n",
-        "inputs": '{"id": 0}\n{"id": 1}\n',
+        "inputs": '{"id": 0, "features": [0.5, 0.5]}\n{"id": 1, "features": [0.1, -0.2]}\n',
         "corpus": "a chair\na table\n",
         "embeddings": "".join(
             f"{w} 0.1 -0.2 0.3\n" for w in ("a", "chair", "table", "<eos>", "stool")
@@ -698,6 +698,26 @@ def test_model_of_the_other_kind_is_data_error(valid_files, tmp_path, capsys, sc
     assert path in payload["message"] and says in payload["message"]
 
 
+@pytest.mark.parametrize("neural", [False, True], ids=["ngram", "neural"])
+@pytest.mark.parametrize("command", ["decode", "oracle"])
+@pytest.mark.parametrize("features", ['"0.5"', "null", "[true, 0.5]", '{"x": 0.5}', "[[0.5], 0.5]"])
+def test_wrong_typed_features_is_data_error(valid_files, tmp_path, capsys, command, neural, features):
+    """A `features` field that is not a list of numbers, on line 2 of an
+    inputs file whose line 1 is valid, ends in exit 66 naming the line, for
+    either scorer."""
+    bad = tmp_path / "inputs.jsonl"
+    first = valid_files["inputs"].read_text(encoding="utf-8").splitlines()[0]
+    bad.write_text(f'{first}\n{{"id": 1, "features": {features}}}\n', encoding="utf-8")
+    # a spec in the words of the checkpoint's vocabulary too
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"disjunctions": [["chair"]]}', encoding="utf-8")
+    files = {**valid_files, "inputs": bad, "constraints": spec}
+    argv = _argv(command, files, str(tmp_path / "out"), neural=neural)
+    assert main(argv) == 66
+    payload = _one_error_object(capsys.readouterr().err)
+    assert payload["category"] == "data" and f"{bad}:2: field 'features'" in payload["message"]
+
+
 def _one_error_object(err: str) -> dict:
     """The error payload of a failed run: stderr holds exactly one JSON
     object and no traceback."""
@@ -717,6 +737,37 @@ def test_train_lm_out_of_range_value_is_config_error(valid_files, tmp_path, caps
     payload = _one_error_object(capsys.readouterr().err)
     assert payload["category"] == "config" and option in payload["message"]
     assert not (tmp_path / "lm.npz").exists()
+
+
+@pytest.mark.parametrize("batch_size", ["1", "3"])
+@pytest.mark.parametrize("defect, line, says", [
+    ("wrong shape", '{"features": [0.5, 0.5, 0.5]}',
+     "{path}:20: conditioning vector has 3 values, expected 2"),
+    ("NaN", '{"features": [NaN, 0.5]}', "conditioning vector contains non-finite values"),
+    ("infinity", '{"features": [0.5, -Infinity]}', "conditioning vector contains non-finite values"),
+])
+def test_train_lm_bad_last_conditioning_vector(valid_files, tmp_path, capsys, defect, line, says, batch_size):
+    """The conditioning vector of the corpus's last sentence, of the wrong
+    shape or not finite, ends `train-lm` in exit 66 with the message it gave
+    when the loss pass ran in corpus order, whatever the batch size. (An
+    empty sequence or an out-of-range token id cannot come from a text
+    corpus: blank lines are dropped and the vocabulary is the corpus's.)"""
+    rng = np.random.default_rng(20)
+    words = ("a", "chair", "table")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(
+        " ".join(rng.choice(words, size=n)) + "\n" for n in rng.integers(1, 8, size=20)
+    ))
+    conditioning = tmp_path / "conditioning.jsonl"
+    conditioning.write_text('{"features": [0.5, -0.5]}\n' * 19 + line + "\n")
+    out = tmp_path / "lm.npz"
+    argv = _argv("train-lm", {**valid_files, "corpus": corpus, "conditioning": conditioning},
+                 str(out)) + ["--batch-size", batch_size]
+    assert main(argv) == 66
+    payload = _one_error_object(capsys.readouterr().err)
+    assert payload["category"] == "data"
+    assert payload["message"] == says.format(path=conditioning)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])

@@ -1,3 +1,4 @@
+import copy
 import functools
 import json
 import math
@@ -35,7 +36,7 @@ from cbsdecode.neural import (
 )
 from cbsdecode.search import _run_search
 from conftest import make_vocab, stack_states
-from oracles import _ref_blocked, reference_step_rows, reference_tied_logits
+from oracles import _ref_blocked, reference_step_rows, reference_tied_logits, reference_train
 from test_scorers import scorer_contract_checks
 
 
@@ -250,14 +251,21 @@ class TestSequenceLoss:
             seq = [0, 1, 2, v.eos]
             assert m.sequence_loss(seq) == pytest.approx(math.log(size), abs=1e-12)
 
-    def test_invariant_to_constant_logit_shift(self, rng, monkeypatch):
-        v, m = tiny_model(rng)
+    def test_invariant_to_constant_logit_shift(self, rng):
+        # w_e's last row is 7.5 in every column, and the projected unit that
+        # reads it is tanh(0) = 0, then tanh(40) = 1.0 exactly: every logit
+        # of the tied output layer gains 7.5 and nothing else changes
+        v = make_vocab(5)
+        w_e = rng.normal(size=(7, len(v)))
+        w_e[-1] = 7.5
+        m = CaptionModel.build(v, w_e, hidden_size=3, cond_dim=2, rng=rng, init_scale=0.4)
+        m.w_v[-1] = 0.0
         cond = rng.normal(size=2)
         seq = [1, 2, v.eos]
-        base = m.sequence_loss(seq, cond)
-        original = CaptionModel._output_logits
-        monkeypatch.setattr(
-            CaptionModel, "_output_logits", lambda self, vec: original(self, vec) + 7.5
+        base, logits = m.sequence_loss(seq, cond), m.output_logits(m.initial_state(cond))
+        m.b_v[-1] = 40.0
+        np.testing.assert_allclose(
+            m.output_logits(m.initial_state(cond)) - logits, 7.5, rtol=0, atol=1e-12
         )
         assert m.sequence_loss(seq, cond) == pytest.approx(base, abs=1e-12)
 
@@ -515,6 +523,114 @@ class TestBatchedPass:
         with pytest.raises(ContractError, match=f"token id {len(v)} "):
             train(m, corpus, lr=0.5, epochs=2, batch_size=4, seed=0)
         assert {name: a.tobytes() for name, a in m.trainable().items()} == before
+
+
+def assert_same_parameters(got, want):
+    for name, a in want.trainable().items():
+        assert got.trainable()[name].tobytes() == a.tobytes(), name
+
+
+def bench_shaped(seed):
+    """A fresh model and corpus at the `neural-train` benchmark's shapes:
+    |V| = 3000, D = 300, H = 128, 16 conditioning values, and 128 Zipf
+    sequences of 6-12 words plus EOS, each with its own conditioning."""
+    rng = np.random.default_rng(seed)
+    v = make_vocab(3000)
+    m = CaptionModel.build(v, rng.normal(scale=0.3, size=(300, len(v))), 128, 16, rng=rng)
+    words = np.minimum(rng.zipf(1.1, size=(128, 12)), v.eos) - 1
+    lengths = rng.integers(6, 13, size=128)
+    return m, [
+        (words[i, : lengths[i]].tolist() + [v.eos], rng.normal(size=16)) for i in range(128)
+    ]
+
+
+# (defect, the corpus's last pair given the vocabulary, what `train` raises);
+# each message is the one `train` gave when its loss pass ran in corpus order
+MALFORMED_LAST = [
+    ("empty sequence", lambda v: ([], None),
+     DataError("cannot score an empty batch or sequence")),
+    ("token id out of range", lambda v: ([1, len(v), v.eos], None),
+     ContractError("token id 5 out of range for |V|=5")),
+    ("conditioning of the wrong shape", lambda v: ([1, v.eos], np.zeros(3)),
+     DataError("conditioning vector has shape (3,), expected (2,)")),
+    ("non-finite conditioning", lambda v: ([1, v.eos], np.array([np.nan, 0.0])),
+     DataError("conditioning vector contains non-finite values")),
+]
+
+
+class TestLossPass:
+    """`train`'s loss passes score the corpus sorted by length, in chunks of
+    16 sequences whatever the batch size is. Updates never read them, so
+    trained weights are the ones of loss passes in `batch_size` chunks of the
+    corpus in order (`oracles.reference_train`), and so are the reported
+    losses wherever a sequence's loss does not depend on its chunk."""
+
+    @given(
+        size=st.sampled_from([5, 8, 13, 16]),
+        lengths=st.lists(st.integers(1, 15), min_size=1, max_size=40),
+        batch_size=st.integers(1, 9),
+        epochs=st.integers(0, 2),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_weights_are_those_of_the_corpus_order_loss_pass(self, size, lengths, batch_size, epochs, seed):
+        rng = np.random.default_rng(seed)
+        v, m = tiny_model(rng, vocab_size=size)
+        corpus = [
+            (rng.integers(0, v.eos, size=n - 1).tolist() + [v.eos],
+             rng.normal(size=2) if rng.random() < 0.5 else None)
+            for n in lengths
+        ]
+        ref = copy.deepcopy(m)
+        report = train(m, corpus, lr=0.5, epochs=epochs, batch_size=batch_size, seed=seed)
+        want = reference_train(ref, corpus, 0.5, epochs, batch_size, seed)
+        assert_same_parameters(m, ref)
+        assert len(report.losses) == len(want)
+        for got, expected in zip(report.losses, want):
+            assert abs(got - expected) <= 1e-12
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 8, 16, 50])
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 40])
+    def test_one_pass_makes_one_call_per_16_sequences(self, monkeypatch, n, batch_size):
+        rng = np.random.default_rng(n)
+        v, m = tiny_model(rng)
+        corpus = [(rng.integers(0, v.eos, size=rng.integers(0, 9)).tolist() + [v.eos], None)
+                  for _ in range(n)]
+        chunks = []
+        batch_losses = m.batch_losses
+        monkeypatch.setattr(
+            m, "batch_losses", lambda batch: chunks.append(batch) or batch_losses(batch)
+        )
+        train(m, corpus, lr=0.5, epochs=0, batch_size=batch_size)
+        assert len(chunks) == math.ceil(n / 16)
+        assert all(len(chunk) == 16 for chunk in chunks[:-1])
+        # the stable length order: each chunk's pairs are corpus pairs
+        assert [pair for chunk in chunks for pair in chunk] == sorted(corpus, key=lambda p: len(p[0]))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_reported_losses_at_the_bench_shapes(self, seed):
+        m, corpus = bench_shaped(seed)
+        ref = copy.deepcopy(m)
+        report = train(m, corpus, lr=0.3, epochs=1, batch_size=8, seed=seed)
+        assert report.losses == reference_train(ref, corpus, 0.3, 1, 8, seed)
+        assert_same_parameters(m, ref)
+        # scored one sequence at a time, a row takes GEMV's bits, not GEMM's
+        alone = reference_train(ref, corpus, 0.3, 0, 1, seed)[0]
+        assert abs(train(m, corpus, lr=0.3, epochs=0).initial - alone) <= 4e-15
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 8])
+    @pytest.mark.parametrize(
+        "defect, last, error", MALFORMED_LAST, ids=[d for d, _, _ in MALFORMED_LAST]
+    )
+    def test_malformed_last_sequence_keeps_its_error(self, rng, defect, last, error, batch_size):
+        v, m = tiny_model(rng)
+        corpus = [(rng.integers(0, v.eos, size=n).tolist() + [v.eos], rng.normal(size=2))
+                  for n in rng.integers(0, 9, size=20)]
+        before = copy.deepcopy(m)
+        with pytest.raises(type(error)) as raised:
+            train(m, corpus + [last(v)], lr=0.5, epochs=2, batch_size=batch_size)
+        assert type(raised.value) is type(error) and str(raised.value) == str(error)
+        assert_same_parameters(m, before)
 
 
 class TestCheckpoint:

@@ -561,6 +561,45 @@ def _log_softmax(logits):
     return shifted - math.log(np.exp(shifted).sum())
 
 
+def _dominating_eos_scorer():
+    """|V| = 4, EOS 3. The first step cannot end; after token 0, EOS takes
+    almost all the mass, so at step 2 that completion beats every live
+    hypothesis."""
+    rows = {None: _log_softmax([4.0, 0.0, 0.0, NEG_INF]), 0: _log_softmax([0.0, 0.0, 0.0, 6.0])}
+    return LastTokenScorer(rows, _log_softmax([0.0, 0.0, 0.0, 0.0]), eos=3)
+
+
+class TestLastStepAdvancesNothing:
+    """The step that ends a search advances no rows, whichever way it ends:
+    a search of `steps` steps calls the scorer's `_advance` `steps - 1` times,
+    each time on the live hypotheses it then reads."""
+
+    @pytest.mark.parametrize("ending, scorer, max_len, steps", [
+        ("dominated", _dominating_eos_scorer(), 10, 2),
+        ("max_len", NoEosScorer(5, 4), 4, 4),
+        ("no_live", ChainScorer((0, 1, 3), 4, 3), 10, 3),
+    ])
+    def test_advance_calls(self, monkeypatch, ending, scorer, max_len, steps):
+        calls = []
+        advance = scorer._advance
+        monkeypatch.setattr(
+            scorer, "_advance", lambda state, tokens: calls.append(len(tokens)) or advance(state, tokens)
+        )
+        params = SearchParams(beam_size=3, max_len=max_len)
+        tree, (_, live_lp, _), (_, done_lp, _), got = _run_search(
+            scorer, trivial_fsm(scorer.vocab_size), params
+        )
+        assert got == steps and len(calls) == steps - 1
+        # the rows advanced are the tree's nodes but the root and the final live ones
+        assert sum(calls) == len(tree[0]) - 1 - len(live_lp)
+        if ending == "dominated":
+            assert steps < max_len and live_lp.size and done_lp.max() > live_lp.max()
+        elif ending == "max_len":
+            assert live_lp.size and not done_lp.size
+        else:
+            assert steps < max_len and not live_lp.size
+
+
 def _two_group_words_fsm():
     """0 -{0..3}-> 1 -{0..3}-> 2 (accepting); every other token stays put.
     State 1's only exception group is {0, 1, 2, 3} -> 2."""
