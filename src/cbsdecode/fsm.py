@@ -426,14 +426,14 @@ def parse_constraint_spec(
     if not isinstance(groups, list) or not isinstance(phrases, list):
         raise DataError("constraint spec fields must be lists")
     for kind, items in (("disjunction", groups), ("phrase", phrases)):
-        if not all(isinstance(item, list) for item in items):
+        if not all(isinstance(item, list) and all(isinstance(w, str) for w in item) for item in items):
             raise DataError(f"each {kind} must be a list of words")
     # phrases first: an unknown phrase word fails before dropped disjunction
     # words are logged, so a failing spec logs nothing
     phrase_constraints = [
-        PhraseConstraint.from_words([str(w).lower() for w in p], vocab) for p in phrases
+        PhraseConstraint.from_words([w.lower() for w in p], vocab) for p in phrases
     ]
-    normalized = [[str(w).lower() for w in g] for g in groups]
+    normalized = [[w.lower() for w in g] for g in groups]
     disj = DisjunctiveConstraints.from_words(normalized, vocab, lemmas=lemmas)
     return ConstraintSpec(disjunctions=disj, phrases=phrase_constraints)
 

@@ -32,12 +32,13 @@ class MentionSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MentionSpec":
-        if not isinstance(data, dict) or not isinstance(data.get("mentions", []), list):
+        mentions = data.get("mentions", []) if isinstance(data, dict) else None
+        if not isinstance(mentions, list) or not all(isinstance(m, str) for m in mentions):
             raise DataError(f"a mention spec must be an object with a list of mentions: {data!r}")
         try:
             return cls(
                 object_name=str(data["object"]),
-                mentions=frozenset(str(m).lower() for m in data["mentions"]),
+                mentions=frozenset(m.lower() for m in data["mentions"]),
             )
         except KeyError as e:
             raise DataError(f"mention spec missing key {e}") from e

@@ -18,7 +18,7 @@ import json
 import logging
 import zipfile
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -305,11 +305,14 @@ class CaptionModel(Scorer):
 
     # forward pass
 
-    def _tied_logits(self, h2: np.ndarray) -> np.ndarray:
-        """Decode-time tied output layer: (B x |V|) logits of B top-layer states.
-        v, zero-padded up to ROWS rows, takes one GEMM over a view of w_e's
-        whole groups of 8 columns and one over its last |V| mod 8 columns,
-        zero-padded to 8 (see ROWS), both written into one (rows x |V|) block."""
+    def output_logits(self, state: DecodeState) -> np.ndarray:
+        """Raw tied-output logits (B x |V|) pending at the rows of `state`
+        (pre-softmax), bit-equal to the ones behind `log_probs(state)`. The
+        projected top-layer rows v, zero-padded up to ROWS rows, take one GEMM
+        over a view of w_e's whole groups of 8 columns and one over its last
+        |V| mod 8 columns, zero-padded to 8 (see ROWS), both written into one
+        (rows x |V|) block."""
+        h2 = state.rows[2]
         v = _padded(np.tanh(_row_gemm(h2, self.w_v.T) + self.b_v), ROWS)
         d, cols = self.w_e.shape
         whole = cols - cols % 8
@@ -320,11 +323,6 @@ class CaptionModel(Scorer):
             tail[:, : cols - whole] = self.w_e[:, whole:]
             logits[:, whole:] = (v @ tail)[:, : cols - whole]
         return logits[: len(h2)]
-
-    def output_logits(self, state: DecodeState) -> np.ndarray:
-        """Raw tied-output logits (B x |V|) pending at the rows of `state`
-        (pre-softmax), bit-equal to the ones behind `log_probs(state)`."""
-        return self._tied_logits(state.rows[2])
 
     def log_probs(self, state: DecodeState) -> np.ndarray:
         """A fresh (B x |V|) block; a row's bits depend neither on B nor on its place."""
@@ -484,7 +482,7 @@ class TrainReport:
 def train(
     m: CaptionModel,
     corpus: Sequence[tuple[Sequence[int], np.ndarray | None]],
-    lr: float | Callable[[int], float],
+    lr: float,
     epochs: int,
     batch_size: int = 1,
     seed: int = 0,
@@ -499,7 +497,6 @@ def train(
         raise DataError("empty training corpus")
     if epochs < 0 or batch_size < 1:
         raise DataError("epochs must be >= 0 and batch_size >= 1")
-    rate = lr if callable(lr) else (lambda _epoch: lr)
     rng = np.random.default_rng(seed)
     params = m.trainable()
     by_length = np.argsort([len(seq) for seq, _ in corpus], kind="stable")
@@ -513,17 +510,16 @@ def train(
 
     losses = [mean_loss()]
     for epoch in range(epochs):
-        step_lr = float(rate(epoch))
         order = rng.permutation(len(corpus))
         for lo in range(0, len(order), batch_size):
             batch = [corpus[i] for i in order[lo : lo + batch_size]]
             grads, _ = m.gradients(batch)
             for name, arr in params.items():
-                arr -= step_lr * grads[name]
+                arr -= lr * grads[name]
         epoch_loss = mean_loss()
         if not np.isfinite(epoch_loss):
             raise NumericError(
-                f"training diverged at epoch {epoch} (loss={epoch_loss}, lr={step_lr})"
+                f"training diverged at epoch {epoch} (loss={epoch_loss}, lr={lr})"
             )
         losses.append(epoch_loss)
         if log_every and (epoch + 1) % log_every == 0:
@@ -575,7 +571,7 @@ def _model_from_arrays(data: dict) -> CaptionModel:
     if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
         raise DataError("not a caption model checkpoint")
     version = meta.get("version")
-    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {version!r}")
     for name, a in data.items():
         if name != "__meta__" and a.dtype.kind not in "iuf":
@@ -583,20 +579,11 @@ def _model_from_arrays(data: dict) -> CaptionModel:
         if name != "__meta__" and not np.isfinite(a).all():
             raise DataError(f"{name} holds a value that is not finite")
 
-    def layer(prefix: str) -> LstmLayerParams:
-        if version == 1:
-            # v1 kept each gate apart: w_x<gate> (N x K), w_h<gate> (N x N), b_<gate>
-            return LstmLayerParams(
-                np.block([[data[f"{prefix}.w_x{g}"], data[f"{prefix}.w_h{g}"]] for g in GATES]),
-                np.concatenate([data[f"{prefix}.b_{g}"] for g in GATES]),
-            )
-        return LstmLayerParams(data[f"{prefix}.w"], data[f"{prefix}.b"])
-
     return CaptionModel(
         vocab=Vocabulary(meta["vocab"], eos_token=meta["eos"]),
         w_e=data["w_e"],
-        layer1=layer("layer1"),
-        layer2=layer("layer2"),
+        layer1=LstmLayerParams(data["layer1.w"], data["layer1.b"]),
+        layer2=LstmLayerParams(data["layer2.w"], data["layer2.b"]),
         w_v=data["w_v"],
         b_v=data["b_v"],
         start_embedding=data["start_embedding"],

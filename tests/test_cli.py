@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cbsdecode import NGramModel, Vocabulary, load_constraint_spec, tokenize
 from cbsdecode.cli import main
 from cbsdecode.fsm import compile_spec
-from cbsdecode.neural import CaptionModel, save_checkpoint
+from cbsdecode.neural import GATES, CaptionModel, save_checkpoint
 
 RESULT_SCHEMA = {
     "type": "object",
@@ -385,7 +385,7 @@ class TestTrainAndExpand:
         assert outputs[0] == outputs[1]
         assert [json.loads(line)["id"] for line in outputs[0].splitlines()] == list(range(6))
 
-    def test_train_lm_missing_embedding_word_fails(self, tmp_path, rng):
+    def test_train_lm_missing_embedding_word_fails(self, tmp_path, rng, capsys):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("the cat sat\n")
         emb = tmp_path / "emb.txt"
@@ -395,6 +395,10 @@ class TestTrainAndExpand:
              "--epochs", "1", "--out", str(tmp_path / "x.npz")]
         )
         assert code == 66
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert payload["category"] == "data"
+        assert payload["message"] == "1 vocabulary words have no embedding: ['sat']"
+        assert not (tmp_path / "x.npz").exists()
 
 
 @pytest.mark.parametrize("scorer", ["ngram", "uniform"])
@@ -532,6 +536,15 @@ WRONG_SHAPE = [
      "each phrase must be a list of words"),
     ("decode", "constraints", "disjunction is a string", '{"disjunctions": ["chair"]}',
      "each disjunction must be a list of words"),
+    # a word that is not a JSON string is a data error, never made a word (null as "none")
+    ("decode", "constraints", "phrase word null", '{"phrases": [["a", null]]}',
+     "each phrase must be a list of words"),
+    ("decode", "constraints", "disjunction word a number", '{"disjunctions": [["chair", 5]]}',
+     "each disjunction must be a list of words"),
+    ("expand", "manifest", "manifest word null", '[{"word": null, "source": "embedding-file"}]',
+     "needs a 'word' string"),
+    ("eval-f1", "mentions", "mention null", '{"object": "chair", "mentions": ["chair", null]}',
+     "list of mentions"),
 ]
 
 
@@ -607,6 +620,27 @@ def _checkpoint_with(meta=None, **arrays):
     return mutate
 
 
+def _per_gate_v1(valid: bytes) -> bytes:
+    """A valid checkpoint rewritten in the version-1 layout, which kept each
+    gate of each LSTM layer apart: w_x<gate> (N x K), w_h<gate> (N x N) and
+    b_<gate>, in place of one weight block and one bias per layer."""
+    with np.load(io.BytesIO(valid)) as data:
+        entries = dict(data)
+    meta = json.loads(str(entries["__meta__"][()]))
+    entries["__meta__"] = np.array(json.dumps({**meta, "version": 1}))
+    for prefix in ("layer1", "layer2"):
+        w, b = entries.pop(f"{prefix}.w"), entries.pop(f"{prefix}.b")
+        n = len(b) // 4
+        for r, gate in enumerate(GATES):
+            rows = slice(r * n, (r + 1) * n)
+            entries[f"{prefix}.w_x{gate}"] = w[rows, : w.shape[1] - n]
+            entries[f"{prefix}.w_h{gate}"] = w[rows, w.shape[1] - n :]
+            entries[f"{prefix}.b_{gate}"] = b[rows]
+    out = io.BytesIO()
+    np.savez(out, **entries)
+    return out.getvalue()
+
+
 def _first_set_to(value):
     """An array mutation: a copy of the array with its first entry `value`."""
     def change(a):
@@ -639,6 +673,7 @@ CHECKPOINT_DEFECTS = [
          "unsupported checkpoint version '2'"),
         ("version true", _checkpoint_with(meta=lambda m: {**m, "version": True}),
          "unsupported checkpoint version True"),
+        ("version 1", _per_gate_v1, "unsupported checkpoint version 1"),
     ]
 ]
 
