@@ -35,9 +35,11 @@ class MentionSpec:
         mentions = data.get("mentions", []) if isinstance(data, dict) else None
         if not isinstance(mentions, list) or not all(isinstance(m, str) for m in mentions):
             raise DataError(f"a mention spec must be an object with a list of mentions: {data!r}")
+        if not isinstance(data.get("object", ""), str):
+            raise DataError(f"a mention spec's object must be a string: {data!r}")
         try:
             return cls(
-                object_name=str(data["object"]),
+                object_name=data["object"],
                 mentions=frozenset(m.lower() for m in data["mentions"]),
             )
         except KeyError as e:

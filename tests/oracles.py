@@ -8,7 +8,9 @@ and `rows` directly and steps each hypothesis alone with `step`. The two
 exceptions are at the end. The reference neural step shares the package's
 nonlinearities and differs from `CaptionModel._step_rows` only in how it
 lays out its GEMMs. The reference trainer shares the model's passes and
-differs from `neural.train` only in how it chunks its loss passes.
+differs from `neural.train` only in how it chunks its loss passes. The
+reference embedding loader shares the package's line reader and parses
+every value of every wanted line by its own `float` call.
 """
 
 import itertools
@@ -18,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cbsdecode.errors import DataError
+from cbsdecode.files import read_lines
 from cbsdecode.neural import _gate_cell, log_softmax
 
 
@@ -290,3 +294,36 @@ def reference_train(m, corpus, lr: float, epochs: int, batch_size: int, seed: in
                 arr -= lr * grads[name]
         losses.append(mean_loss())
     return losses
+
+
+def reference_load_embeddings(path, needed=None):
+    """(dim, {word: vector}, sorted missing words) of a vector file, read one
+    line at a time, each value by its own `float` call: `load_embeddings` as
+    it was before it parsed values in bulk. Raises the same `DataError`s."""
+    wanted = None if needed is None else {w.lower() for w in needed}
+    vectors = {}
+    dim = None
+    for lineno, line in enumerate(read_lines(path), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        word, values = parts[0].lower(), parts[1:]
+        if dim is None:
+            if not values:
+                raise DataError(f"{path}:{lineno}: entry has no values")
+            dim = len(values)
+        elif len(values) != dim:
+            raise DataError(f"{path}:{lineno}: expected {dim} values, found {len(values)}")
+        if wanted is not None and word not in wanted:
+            continue
+        try:
+            vec = np.array([float(x) for x in values])
+        except ValueError as e:
+            raise DataError(f"{path}:{lineno}: bad float: {e}") from e
+        if not np.isfinite(vec).all():
+            raise DataError(f"{path}:{lineno}: non-finite value")
+        vectors[word] = vec
+    if dim is None:
+        raise DataError(f"embedding file {path} is empty")
+    missing = sorted(wanted - set(vectors)) if wanted is not None else []
+    return dim, vectors, missing

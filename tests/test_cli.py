@@ -545,6 +545,8 @@ WRONG_SHAPE = [
      "needs a 'word' string"),
     ("eval-f1", "mentions", "mention null", '{"object": "chair", "mentions": ["chair", null]}',
      "list of mentions"),
+    ("eval-f1", "mentions", "object null", '{"object": null, "mentions": ["chair"]}',
+     "object must be a string"),
 ]
 
 
