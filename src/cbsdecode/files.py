@@ -4,6 +4,7 @@ the file."""
 
 from __future__ import annotations
 
+import io
 import json
 from contextlib import contextmanager
 from typing import Iterator
@@ -12,12 +13,18 @@ from .errors import DataError
 
 
 def read_lines(path) -> Iterator[str]:
-    """The lines of a UTF-8 text file, each with its line ending."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            yield from fh
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path} is not UTF-8 text: {e}") from e
+    """The lines of a UTF-8 text file as text mode reads them, decoded one by one."""
+    n = 0
+    with open(path, "rb", buffering=1 << 16) as fh:
+        for raw in fh:
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                n += 1 + raw.count(b"\r", 0, e.start)
+                raise DataError(f"{path} is not UTF-8 text at line {n}: {e}") from e
+            lines = io.StringIO(text, newline=None).readlines() if "\r" in text else [text]
+            n += len(lines)
+            yield from lines
 
 
 def read_json(path):

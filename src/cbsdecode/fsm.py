@@ -307,51 +307,25 @@ def compile_disjunctions(c: DisjunctiveConstraints, vocab_size: int) -> Fsm:
 def compile_phrase(p: PhraseConstraint, vocab_size: int) -> Fsm:
     """Prefix-matching automaton: state k = longest suffix matching p[:k].
 
-    len(p)+1 states; mismatches follow the classic prefix-failure function so
-    overlapping partial matches are never dropped. The final state is
-    absorbing and accepting.
+    len(p)+1 states, the last absorbing and accepting. On a mismatch, state k
+    acts as its restart state, the one p[1:k] leads to, so overlapping partial
+    matches are kept. Row keys ascend: product state numbers can follow them.
     """
     _check_token_ids(p.tokens, vocab_size)
-    toks = p.tokens
-    n = len(toks)
-    # failure function: fail[k] = length of longest proper prefix of p[:k]
-    # that is also a suffix of p[:k]
-    fail = [0] * (n + 1)
-    k = 0
-    for i in range(1, n):
-        while k > 0 and toks[i] != toks[k]:
-            k = fail[k]
-        if toks[i] == toks[k]:
-            k += 1
-        fail[i + 1] = k
-
-    alphabet = sorted(set(toks))
-    delta: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    for state in range(n + 1):
-        for w in alphabet:
-            if state == n:
-                delta[state][w] = n
-            elif w == toks[state]:
-                delta[state][w] = state + 1
-            elif state == 0:
-                delta[state][w] = 0
-            else:
-                delta[state][w] = delta[fail[state]][w]
-
-    defaults = [0] * n + [n]
-    rows = [
-        {w: nxt for w, nxt in delta[s].items() if nxt != defaults[s]}
-        for s in range(n + 1)
-    ]
-    progress = [0] * n + [1]
+    n = len(p)
+    rows: list[dict[int, int]] = [{p.tokens[0]: 1}]
+    x = 0
+    for k, w in enumerate(p.tokens[1:], 1):
+        rows.append(dict(sorted({**rows[x], w: k + 1}.items())))
+        x = rows[x].get(w, 0)
     return Fsm(
         num_states=n + 1,
         start=0,
         accepting={n},
         vocab_size=vocab_size,
-        defaults=defaults,
-        rows=rows,
-        progress=progress,
+        defaults=[0] * n + [n],
+        rows=rows + [{}],
+        progress=[0] * n + [1],
     )
 
 

@@ -265,7 +265,6 @@ class CaptionModel(Scorer):
         rng: np.random.Generator | None = None,
         init_scale: float = 0.08,
         forget_bias: float = 1.0,
-        start_embedding: np.ndarray | None = None,
     ) -> "CaptionModel":
         """Fresh model around a fixed embedding matrix. Trainable weights are
         uniform in [-init_scale, init_scale]; forget-gate biases start at
@@ -288,7 +287,6 @@ class CaptionModel(Scorer):
             layer2=layer2,
             w_v=weight((d, hidden_size)),
             b_v=np.zeros(d),
-            start_embedding=start_embedding,
         )
 
     def trainable(self) -> dict[str, np.ndarray]:

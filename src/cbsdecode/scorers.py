@@ -207,7 +207,14 @@ class NGramModel(Scorer):
         self.context_counts: Counter[tuple[int, ...]] = Counter()
         self.continuations: dict[tuple[int, ...], Counter[int]] = {}
         self._contexts: list[tuple[int, ...]] = []
-        self._build_cache()
+        self._context_ids: dict[tuple[int, ...], int] = {}
+        self._tails: dict[tuple[int, ...], int] = {}
+        self._logp = np.empty((0, len(vocab)))
+        self._tail = np.empty(0, dtype=np.int32)
+        self._next = np.empty((0, len(vocab)), dtype=np.int32)
+        self._top = np.empty((0, 0), dtype=np.intp)
+        self._top_lp = np.empty((0, 0))
+        self._ranked = 0
 
     @property
     def vocab_size(self) -> int:
@@ -241,21 +248,6 @@ class NGramModel(Scorer):
     # depends on the context's tail, all but its first token: `_next[_tail[id], w]`
     # is its id, -1 until first asked for. `_top` and `_top_lp` hold the K best
     # ids and log-probs of the contexts below `_ranked`, K the widest k asked for
-
-    def _build_cache(self) -> None:
-        """Fresh caches that hold the contexts of `_contexts` under the same ids."""
-        v = self.vocab_size
-        self._context_ids: dict[tuple[int, ...], int] = {}
-        self._tails: dict[tuple[int, ...], int] = {}
-        self._logp = np.empty((0, v))
-        self._tail = np.empty(0, dtype=np.int32)
-        self._next = np.empty((0, v), dtype=np.int32)
-        self._top = np.empty((0, 0), dtype=np.intp)
-        self._top_lp = np.empty((0, 0))
-        self._ranked = 0
-        contexts, self._contexts = self._contexts, []
-        for ctx in contexts:
-            self._context_id(ctx)
 
     def _context_id(self, ctx: tuple[int, ...]) -> int:
         cid = self._context_ids.get(ctx)
@@ -359,19 +351,6 @@ class NGramModel(Scorer):
         data = read_json(path)
         with in_file(path):
             return cls.from_dict(data)
-
-    # a copy keeps the context ids, so decode states copied with it stay valid,
-    # and rebuilds every cache behind them
-
-    def __getstate__(self):
-        return {k: v for k, v in vars(self).items() if k in _PERSISTENT}
-
-    def __setstate__(self, state):
-        vars(self).update(state)
-        self._build_cache()
-
-
-_PERSISTENT = ("order", "alpha", "vocab", "context_counts", "continuations", "_contexts")
 
 
 def _grown(a: np.ndarray, rows: int) -> np.ndarray:

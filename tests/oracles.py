@@ -38,6 +38,15 @@ def contains_phrase(seq, phrase) -> bool:
     return any(seq[i : i + n] == phrase for i in range(len(seq) - n + 1))
 
 
+def phrase_transition(phrase, k, w) -> int:
+    """Where a phrase's prefix-matching automaton goes from state k (k tokens
+    of the phrase matched) on token w: the length of the longest suffix of
+    phrase[:k] + (w,) that is a prefix of the phrase, found by trying every
+    length."""
+    read = tuple(phrase[:k]) + (w,)
+    return max(j for j in range(len(read) + 1) if read[len(read) - j :] == tuple(phrase[:j]))
+
+
 def all_sequences(alphabet, max_len):
     """Every tuple over `alphabet` of length 0..max_len."""
     for length in range(max_len + 1):

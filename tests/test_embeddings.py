@@ -236,8 +236,8 @@ class TestMatchesReferenceLoader:
         assert ":3: entry has no values" in assert_matches_reference(path, ["dog"])
 
     def test_bad_line_before_an_undecodable_block_reports_first(self, tmp_path):
-        """The reader decodes blocks of the file at a time; a bad wanted line
-        in an earlier block still reports before the block that fails."""
+        """A bad wanted line reports before an undecodable line thousands of
+        lines (more than one 8 KB block) later."""
         body = "".join(f"w{i} 1.0 2.0\n" for i in range(3000)).encode()
         path = tmp_path / "vec.txt"
         path.write_bytes(b"cat 1.0 oops\n" + body + b"dog 1.0 \xe9\n")

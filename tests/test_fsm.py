@@ -25,7 +25,7 @@ from cbsdecode import (
     trivial_fsm,
 )
 from conftest import make_vocab
-from oracles import all_sequences, contains_phrase, satisfies_disjunctions
+from oracles import all_sequences, contains_phrase, phrase_transition, satisfies_disjunctions
 
 
 def chair_table_fsm(v):
@@ -133,6 +133,44 @@ class TestCompilePhrase:
             f = compile_phrase(PhraseConstraint(phrase), len(v))
             for seq in all_sequences(range(len(v)), 6):
                 assert f.recognizes(seq) == contains_phrase(seq, phrase), (phrase, seq)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_transitions_match_brute_force(self, data):
+        """Every transition of a phrase machine is the longest suffix of what
+        was read that is a prefix of the phrase. Rows list only the tokens
+        that leave the default, in ascending order."""
+        size = data.draw(st.integers(1, 4), label="size")
+        phrase = tuple(data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=8), label="phrase"))
+        n = len(phrase)
+        f = compile_phrase(PhraseConstraint(phrase), size)
+        assert (f.num_states, f.start, f.accepting) == (n + 1, 0, {n})
+        assert f.defaults == (0,) * n + (n,) and f.progress == (0,) * n + (1,)
+        for k in range(n):
+            want = {w: phrase_transition(phrase, k, w) for w in range(size)}
+            assert [f.step(k, w) for w in range(size)] == list(want.values())
+            assert list(f.rows[k].items()) == [(w, nxt) for w, nxt in want.items() if nxt]
+        assert f.rows[n] == {}
+
+    # rows of overlapping phrases with their key order, recorded from a
+    # failure-function construction; a product machine can number its states
+    # in this order
+    @pytest.mark.parametrize(
+        "phrase,size,rows",
+        [
+            ((0, 1, 0, 1, 2), 3, [[(0, 1)], [(0, 1), (1, 2)], [(0, 3)], [(0, 1), (1, 4)], [(0, 3), (2, 5)], []]),
+            ((0, 0, 1), 2, [[(0, 1)], [(0, 2)], [(0, 2), (1, 3)], []]),
+            ((1, 1, 1), 2, [[(1, 1)], [(1, 2)], [(1, 3)], []]),
+            ((2, 1, 2, 0, 2, 1, 2), 3,
+             [[(2, 1)], [(1, 2), (2, 1)], [(2, 3)], [(0, 4), (1, 2), (2, 1)], [(2, 5)], [(1, 6), (2, 1)], [(2, 7)], []]),
+            ((3, 0, 2, 1, 3, 0, 3), 4,
+             [[(3, 1)], [(0, 2), (3, 1)], [(2, 3), (3, 1)], [(1, 4), (3, 1)], [(3, 5)], [(0, 6), (3, 1)], [(2, 3), (3, 7)], []]),
+        ],
+    )
+    def test_recorded_rows_of_overlapping_phrases(self, phrase, size, rows):
+        f = compile_phrase(PhraseConstraint(phrase), size)
+        assert [list(r.items()) for r in f.rows] == rows
+        assert f.defaults == (0,) * len(phrase) + (len(phrase),)
 
     def test_final_state_is_absorbing(self):
         v = make_vocab(4)

@@ -797,11 +797,6 @@ def test_largest_disjunction_machine_with_uint16_and_int64_keys(monkeypatch):
     assert _beam_records(narrow[0]) == _beam_records(wide[0]) == _beam_records(want[0])
 
 
-# what a copy of an NGramModel keeps: its counts and the context behind each
-# id; every decode cache is left out and rebuilt
-NGRAM_PERSISTED = {"order", "alpha", "vocab", "context_counts", "continuations", "_contexts"}
-
-
 @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 3))
 @settings(max_examples=30, deadline=None)
 def test_one_ngram_model_serves_many_searches(seed, order):
@@ -809,8 +804,8 @@ def test_one_ngram_model_serves_many_searches(seed, order):
     and falling k, so its context ids, rows and ranked top-k carry from one
     search into the next. Every search's beams equal, to the bit, those of a
     fresh model and of the reference loop; so do those of a deep copy and a
-    pickle of the used model, which drop its caches and keep its context
-    ids, so a deep-copied decode state steps as the original does."""
+    pickle of the used model, which keep its caches and its context ids, so
+    a deep-copied decode state steps as the original does."""
     rng = np.random.default_rng(seed)
     size = int(rng.integers(12, 48))
     v = make_vocab(size)
@@ -831,8 +826,6 @@ def test_one_ngram_model_serves_many_searches(seed, order):
     state = shared.initial_state()
     for w in rng.integers(0, size, size=3).tolist():
         state, _ = shared.step(state, w)
-    kept = shared.__getstate__()
-    assert set(kept) == NGRAM_PERSISTED and kept["_contexts"] == shared._contexts
     for twin in (copy.deepcopy(shared), pickle.loads(pickle.dumps(shared))):
         for beam in (4, 1, 5):
             check(twin, beam)
