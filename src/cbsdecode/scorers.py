@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
-from collections import Counter
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -197,15 +196,19 @@ class NGramModel(Scorer):
     """
 
     def __init__(self, order: int, alpha: float, vocab: Vocabulary):
-        if not isinstance(order, (int, np.integer)) or order < 1:
+        if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
             raise DataError(f"n-gram order must be an integer >= 1, got {order!r}")
         if not 0 < alpha < float("inf"):
             raise DataError(f"smoothing constant must be finite and > 0, got {alpha}")
         self.order = order
         self.alpha = float(alpha)
         self.vocab = vocab
-        self.context_counts: Counter[tuple[int, ...]] = Counter()
-        self.continuations: dict[tuple[int, ...], Counter[int]] = {}
+        # counts: `_keys` are the ascending context keys, base-(|V| + 1) digits
+        # with START as 0 (Python ints where int64 would overflow); context i
+        # continues with the ascending ids `_words[_bounds[i]:_bounds[i + 1]]`,
+        # whose `_counts` sum to `_totals[i]`
+        fits = (len(vocab) + 1) ** order <= np.iinfo(np.int64).max
+        self._store(np.empty(0, dtype=np.int64 if fits else object), np.empty(0, dtype=np.int64))
         self._contexts: list[tuple[int, ...]] = []
         self._context_ids: dict[tuple[int, ...], int] = {}
         self._tails: dict[tuple[int, ...], int] = {}
@@ -229,9 +232,9 @@ class NGramModel(Scorer):
         context tokens. Strictly finite."""
         if not 0 <= w < self.vocab_size:
             raise ContractError(f"token id {w} out of range")
-        ctx = self._normalize_context(context)
-        total = self.context_counts.get(ctx, 0)
-        cnt = self.continuations.get(ctx, {}).get(w, 0)
+        words, counts, total = self._continuations(self._normalize_context(context))
+        j = np.searchsorted(words, w)
+        cnt = counts[j] if j < len(words) and words[j] == w else 0
         return float(
             np.log(cnt + self.alpha) - np.log(total + self.alpha * self.vocab_size)
         )
@@ -242,6 +245,28 @@ class NGramModel(Scorer):
         if len(ctx) < need:
             ctx = (START,) * (need - len(ctx)) + ctx
         return ctx
+
+    def _store(self, keys: np.ndarray, counts: np.ndarray) -> None:
+        """Keep the ascending, distinct k-gram keys `keys` and their counts."""
+        base = self.vocab_size + 1
+        contexts = keys // base
+        first = np.flatnonzero(np.diff(contexts, prepend=-1))
+        self._keys, self._bounds = contexts[first], np.append(first, len(keys))
+        self._totals, self._counts = np.add.reduceat(counts, first), counts
+        self._words = (keys % base).astype(np.int32) - 1
+
+    def _continuations(self, ctx: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, int]:
+        """(ids, counts, total) of the continuations of `ctx`; none when unseen."""
+        key, v = 0, self.vocab_size
+        for t in ctx:
+            if not START <= t < v:
+                return self._words[:0], self._counts[:0], 0
+            key = key * (v + 1) + t + 1
+        i = int(np.searchsorted(self._keys, key))
+        if i == len(self._keys) or self._keys[i] != key:
+            return self._words[:0], self._counts[:0], 0
+        a, b = self._bounds[i : i + 2]
+        return self._words[a:b], self._counts[a:b], self._totals[i]
 
     # decode state: rows = ((B,) context ids,). A context's id is its place in
     # `_contexts`, and row id of `_logp` is its distribution. The context after token w
@@ -260,11 +285,10 @@ class NGramModel(Scorer):
             self._logp, self._tail, self._top, self._top_lp = (
                 _grown(a, cap) for a in (self._logp, self._tail, self._top, self._top_lp)
             )
-        counts = np.zeros(self.vocab_size)
-        for w, c in self.continuations.get(ctx, {}).items():
-            counts[w] = c
-        total = self.context_counts.get(ctx, 0)
-        self._logp[cid] = np.log(counts + self.alpha) - np.log(total + self.alpha * self.vocab_size)
+        words, counts, total = self._continuations(ctx)
+        row = np.zeros(self.vocab_size)
+        row[words] = counts
+        self._logp[cid] = np.log(row + self.alpha) - np.log(total + self.alpha * self.vocab_size)
         tid = self._tails.get(ctx[1:])
         if tid is None:
             tid = self._tails[ctx[1:]] = len(self._tails)
@@ -310,10 +334,13 @@ class NGramModel(Scorer):
     # persistence: JSON dump of counts + alpha + vocabulary
 
     def to_dict(self) -> dict:
-        contexts = []
-        for ctx in sorted(self.continuations):
-            conts = sorted(self.continuations[ctx].items())
-            contexts.append([list(ctx), self.context_counts[ctx], conts])
+        base, need = self.vocab_size + 1, self.order - 1
+        digits = self._keys[:, None] // base ** np.arange(need - 1, -1, -1, dtype=self._keys.dtype) % base - 1
+        words, counts, bounds = self._words.tolist(), self._counts.tolist(), self._bounds.tolist()
+        contexts = [
+            [ctx, total, list(zip(words[a:b], counts[a:b]))]
+            for ctx, total, a, b in zip(digits.tolist(), self._totals.tolist(), bounds, bounds[1:])
+        ]
         return {
             "format": NGRAM_FORMAT,
             "version": NGRAM_VERSION,
@@ -333,10 +360,7 @@ class NGramModel(Scorer):
         try:
             vocab = Vocabulary(data["vocab"], eos_token=data["eos"])
             model = cls(order=data["order"], alpha=data["alpha"], vocab=vocab)
-            for ctx, total, conts in data["contexts"]:
-                ctx = tuple(ctx)
-                model.context_counts[ctx] = total
-                model.continuations[ctx] = Counter({w: c for w, c in conts})
+            model._store(*_dump_counts(model, data["contexts"]))
         except (KeyError, TypeError, ValueError) as e:
             raise DataError(f"malformed n-gram model dump: {e!r}") from e
         return model
@@ -360,6 +384,72 @@ def _grown(a: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
+def _int64s(values: list, what: str) -> np.ndarray:
+    """`values` as int64, a DataError naming the first that is no integer."""
+    bad = next((x for x in values if type(x) is not int), None)
+    if bad is not None:
+        raise DataError(f"n-gram {what} {bad!r} is not an integer")
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise DataError(f"n-gram {what} {max(values, key=abs)} out of range") from None
+
+
+def _dump_counts(model: NGramModel, entries: list) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending k-gram keys of a dump's `contexts`, listed in any order,
+    and their counts, checked as `ngram_train` writes them: each context is
+    order - 1 ids in [START, |V|), listed once, with continuation ids in
+    [0, |V|), each listed once; every count is an integer >= 1, and each
+    total is the sum of its context's counts."""
+    v, base, need = model.vocab_size, model.vocab_size + 1, model.order - 1
+    ctxs, totals, sizes, pairs = [], [], [], []
+    for ctx, total, conts in entries:
+        if not isinstance(ctx, list) or len(ctx) != need:
+            raise DataError(f"n-gram context {ctx!r} is not a list of {need} token ids")
+        if not isinstance(conts, list) or not conts:
+            raise DataError(f"n-gram context {ctx} has no list of continuations")
+        ctxs += ctx
+        totals.append(total)
+        sizes.append(len(conts))
+        pairs += conts
+    bad = next((p for p in pairs if not isinstance(p, (list, tuple)) or len(p) != 2), None)
+    if bad is not None:
+        raise DataError(f"n-gram continuation {bad!r} is not a [token id, count] pair")
+    ctxs = _int64s(ctxs, "context token id").reshape(len(sizes), need)
+    words, counts = _int64s([p[0] for p in pairs], "continuation id"), _int64s([p[1] for p in pairs], "count")
+    totals, ends = _int64s(totals, "total"), np.cumsum(sizes, dtype=np.intp)
+    for what, ids, low in (("context token id", ctxs.ravel(), START), ("continuation id", words, 0)):
+        if ids.size and (ids.min() < low or ids.max() >= v):
+            raise DataError(f"n-gram {what} {ids[(ids < low) | (ids >= v)][0]} out of range for |V|={v}")
+    if counts.size and counts.min() < 1:
+        raise DataError(f"n-gram count {counts[counts < 1][0]} is not >= 1")
+    sums = np.add.reduceat(counts, ends - sizes) if counts.size else totals
+    if (totals != sums).any():
+        i = np.flatnonzero(totals != sums)[0]
+        raise DataError(f"n-gram context {entries[i][0]} total {totals[i]} is not the sum of its counts, {sums[i]}")
+    keys = np.zeros(len(sizes), dtype=model._keys.dtype)
+    for digit in ctxs.T:
+        keys = keys * base + (digit + 1).astype(keys.dtype)
+    order, again = _ascending(keys)
+    if again >= 0:
+        raise DataError(f"n-gram context {entries[again][0]} is listed twice")
+    keys = np.repeat(keys * base, sizes) + (words + 1).astype(keys.dtype)
+    order, again = _ascending(keys)
+    if again >= 0:
+        i = np.searchsorted(ends, again, side="right")
+        raise DataError(f"n-gram context {entries[i][0]} lists token {words[again]} twice")
+    return keys[order], counts[order]
+
+
+def _ascending(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """The stable ascending order of `keys`, and the index of a key equal to
+    the one before it in that order (-1 when the keys are distinct)."""
+    order = np.argsort(keys, kind="stable")
+    ascending = keys[order]
+    again = np.flatnonzero(ascending[1:] == ascending[:-1])
+    return order, int(order[again[0] + 1]) if again.size else -1
+
+
 def ngram_train(
     corpus: Iterable[Sequence[int]], order: int, alpha: float, vocab: Vocabulary
 ) -> NGramModel:
@@ -378,7 +468,7 @@ def ngram_train(
     if keys.size and (keys.min() < 0 or keys.max() >= v):
         raise DataError(f"token id {keys[(keys < 0) | (keys >= v)][0]} out of range for |V|={v}")
     base = v + 1
-    keys = keys if base**order <= np.iinfo(np.int64).max else keys.astype(object)
+    keys = keys.astype(model._keys.dtype, copy=False)
     keys += 1
     d, heads = keys.copy(), (np.cumsum(lengths) - lengths)[lengths > 0]
     for _ in range(1, order):  # add each token further back, times base ** distance
@@ -386,17 +476,10 @@ def ngram_train(
         d[heads] = 0
         d *= base
         keys += d
+    del d
     keys.sort()
     starts = np.flatnonzero(np.r_[keys.size > 0, keys[1:] != keys[:-1]])
-    counts, keys = np.diff(starts, append=keys.size), keys[starts]
-    first = np.flatnonzero(np.diff(keys // base, prepend=-1))  # each context's first k-gram
-    contexts = keys[first, None] // base ** np.arange(order - 1, 0, -1, dtype=keys.dtype) % base - 1
-    # the token ids as shared int objects, one per id, not one per k-gram
-    words = np.array(range(-1, v), dtype=object)[(keys % base).astype(np.intp)].tolist()
-    counts, bounds = counts.tolist(), first.tolist() + [len(words)]
-    for ctx, a, b in zip(map(tuple, contexts.tolist()), bounds, bounds[1:]):
-        model.context_counts[ctx] = sum(counts[a:b])
-        model.continuations[ctx] = Counter(dict(zip(words[a:b], counts[a:b])))
+    model._store(keys[starts], np.diff(starts, append=keys.size))
     return model
 
 

@@ -516,6 +516,50 @@ TEXT_FILE_OPTIONS = [
 
 _NGRAM_HEAD = {"format": "cbsdecode-ngram", "version": 1, "order": 2, "alpha": 1.0, "eos": "<eos>"}
 
+
+def _ngram_with(path, value):
+    """A mutation of the valid n-gram dump's bytes: the entry at `path` (keys
+    and list indices) set to `value`. Its vocabulary is the 11 words of
+    CORPUS, and its contexts are [-1], [0], [1], ... [9] in order, so
+    "contexts", 9 is the context [8] with its one continuation <eos> (id 10)."""
+    def mutate(valid: bytes) -> bytes:
+        dump = json.loads(valid)
+        entry = dump
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        return json.dumps(dump).encode()
+    return mutate
+
+
+# (defect, mutation, what the message must say): each n-gram dump whose ids or
+# counts `ngram_train` could not have written
+NGRAM_DUMP_DEFECTS = [
+    ("continuation id |V|", _ngram_with(["contexts", 1, 2, 0, 0], 11),
+     "n-gram continuation id 11 out of range for |V|=11"),
+    ("continuation id -1", _ngram_with(["contexts", 1, 2, 0, 0], -1),
+     "n-gram continuation id -1 out of range for |V|=11"),
+    ("context of two ids", _ngram_with(["contexts", 1, 0], [0, 0]),
+     "n-gram context [0, 0] is not a list of 1 token ids"),
+    ("context id |V|", _ngram_with(["contexts", 1, 0], [11]),
+     "n-gram context token id 11 out of range for |V|=11"),
+    ("context id -2", _ngram_with(["contexts", 1, 0], [-2]),
+     "n-gram context token id -2 out of range for |V|=11"),
+    ("repeated context", _ngram_with(["contexts", 10], [[8], 1, [[10, 1]]]),
+     "n-gram context [8] is listed twice"),
+    ("repeated token in a context", _ngram_with(["contexts", 9], [[8], 2, [[10, 1], [10, 1]]]),
+     "n-gram context [8] lists token 10 twice"),
+    ("order true", _ngram_with(["order"], True), "n-gram order must be an integer >= 1, got True"),
+    ("count a string", _ngram_with(["contexts", 1, 2, 0, 1], "2"), "n-gram count '2' is not an integer"),
+    ("count negative", _ngram_with(["contexts", 1, 2, 0, 1], -2), "n-gram count -2 is not >= 1"),
+    ("total negative", _ngram_with(["contexts", 1, 1], -8),
+     "n-gram context [0] total -8 is not the sum of its counts, 8"),
+    ("count true", _ngram_with(["contexts", 1, 2, 0, 1], True), "n-gram count True is not an integer"),
+    ("count 0", _ngram_with(["contexts", 1, 2, 0, 1], 0), "n-gram count 0 is not >= 1"),
+    ("total 1000 for 3", _ngram_with(["contexts", 2, 1], 1000),
+     "n-gram context [1] total 1000 is not the sum of its counts, 3"),
+]
+
 # (command, file option, defect, file content, what the message must say):
 # JSON documents that parse but have the wrong shape
 WRONG_SHAPE = [
@@ -547,7 +591,7 @@ WRONG_SHAPE = [
      "list of mentions"),
     ("eval-f1", "mentions", "object null", '{"object": null, "mentions": ["chair"]}',
      "object must be a string"),
-]
+] + [("decode", "model", defect, mutation, says) for defect, mutation, says in NGRAM_DUMP_DEFECTS]
 
 
 @pytest.fixture(scope="module")

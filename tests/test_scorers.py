@@ -1,6 +1,10 @@
 import copy
+import json
 import math
+import random
 import re
+import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -58,6 +62,12 @@ class TestUniformScorer:
             UniformScorer(4, eos=9)
 
 
+def dump_form(reference_counts) -> list:
+    """The `contexts` of an n-gram dump, from `reference_ngram_counts`."""
+    context_counts, continuations = reference_counts
+    return [[list(ctx), context_counts[ctx], sorted(continuations[ctx].items())] for ctx in sorted(continuations)]
+
+
 class TestNGramTraining:
     def test_hand_computed_bigram(self):
         # corpus "a b <eos>", k=2, alpha=1, |V|=3: P(b|a) = (1+1)/(1+3)
@@ -110,10 +120,10 @@ class TestNGramTraining:
         sentences and a corpus of only empty sentences included; every
         context and next token is a Python int."""
         corpus = [[] for _ in corpus] if empty_only else [[w % size for w in s] for s in corpus]
-        m = ngram_train(corpus, order=order, alpha=0.5, vocab=make_vocab(size))
-        assert (m.context_counts, m.continuations) == reference_ngram_counts(corpus, order)
-        for ctx, conts in m.continuations.items():
-            assert all(type(x) is int for x in (*ctx, *conts, *conts.values(), m.context_counts[ctx]))
+        contexts = ngram_train(corpus, order=order, alpha=0.5, vocab=make_vocab(size)).to_dict()["contexts"]
+        assert contexts == dump_form(reference_ngram_counts(corpus, order))
+        for ctx, total, conts in contexts:
+            assert all(type(x) is int for x in (*ctx, total, *chain.from_iterable(conts)))
 
     def test_keys_past_int64_count_as_the_token_loop(self, rng):
         """(|V| + 1) ** order past int64: the keys are Python ints, and the
@@ -121,8 +131,28 @@ class TestNGramTraining:
         size, order = 8, 22
         assert (size + 1) ** order > np.iinfo(np.int64).max
         corpus = [rng.integers(0, size, size=rng.integers(0, 30)).tolist() for _ in range(20)]
-        m = ngram_train(corpus, order=order, alpha=0.5, vocab=make_vocab(size))
-        assert (m.context_counts, m.continuations) == reference_ngram_counts(corpus, order)
+        contexts = ngram_train(corpus, order=order, alpha=0.5, vocab=make_vocab(size)).to_dict()["contexts"]
+        assert contexts == dump_form(reference_ngram_counts(corpus, order))
+        for ctx, total, conts in contexts:
+            assert all(type(x) is int for x in (*ctx, total, *chain.from_iterable(conts)))
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_model_keeps_few_bytes_per_kgram(self, order):
+        """The counts are kept as arrays: at most 40 bytes per distinct
+        k-gram, where dicts of Counters took 63 (bigrams) and 219 (trigrams)."""
+        rng = np.random.default_rng(order)
+        v = make_vocab(1000)
+        corpus = [(rng.zipf(1.3, size=rng.integers(3, 15)) % (len(v) - 1)).tolist() + [v.eos] for _ in range(4000)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            m = ngram_train(corpus, order=order, alpha=0.5, vocab=v)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        kgrams = sum(len(conts) for _, _, conts in m.to_dict()["contexts"])
+        assert kgrams > 10_000
+        assert kept / kgrams <= 40
 
     @pytest.mark.parametrize("bad", [-1, 5, 99])
     def test_token_id_out_of_range_rejected(self, bad):
@@ -144,6 +174,23 @@ class TestNGramLogprob:
         m = random_ngram(rng, v, order=2)
         long_ctx = [3, 1, 0, 2]
         assert m.logprob(long_ctx, 1) == m.logprob([2], 1)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_equals_log_probs_rows_bit_for_bit(self, rng, order):
+        """`logprob` and the decode rows read the same counts by different
+        lookups; both give the same bits, for seen and unseen contexts."""
+        v = make_vocab(5)
+        m = random_ngram(rng, v, order=order, sentences=8)
+        seen = {tuple(ctx) for ctx, _, _ in m.to_dict()["contexts"]}
+        kinds = set()
+        for ctx in chain([()], ((a,) for a in range(len(v))), ((a, b) for a in range(len(v)) for b in range(len(v)))):
+            state = m.initial_state()
+            for w in ctx:
+                state = m.step(state, w)[0]
+            row = m.log_probs(state)[0]
+            assert np.array([m.logprob(ctx, w) for w in range(len(v))]).tobytes() == row.tobytes()
+            kinds.add(m._normalize_context(ctx) in seen)
+        assert kinds == {True, False} if order > 1 else {True}
 
     def test_always_finite(self, rng):
         v = make_vocab(4)
@@ -391,6 +438,29 @@ class TestPersistence:
         for ctx in ([], [0, 1], [5, 2]):
             for w in range(len(v)):
                 assert m2.logprob(ctx, w) == m.logprob(ctx, w)
+
+    @pytest.mark.parametrize("size,order", [(6, 1), (6, 2), (6, 3), (8, 22)])
+    def test_save_load_save_is_byte_identical(self, rng, tmp_path, size, order):
+        """(8 + 1) ** 22 passes int64: the Python-int key path round-trips too."""
+        m = random_ngram(rng, make_vocab(size), order=order, sentences=40)
+        m.save(tmp_path / "a.json")
+        NGramModel.load(tmp_path / "a.json").save(tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_shuffled_dump_loads_to_the_same_model(self, rng, order):
+        """A dump's contexts and continuations may come in any order."""
+        m = random_ngram(rng, make_vocab(6), order=order, sentences=40)
+        dump = json.loads(json.dumps(m.to_dict()))
+        shuffle = random.Random(order)
+        for _, _, conts in dump["contexts"]:
+            shuffle.shuffle(conts)
+        shuffle.shuffle(dump["contexts"])
+        assert dump["contexts"] != json.loads(json.dumps(m.to_dict()))["contexts"]
+        shuffled = NGramModel.from_dict(dump)
+        assert shuffled.to_dict() == m.to_dict()
+        for name in ("_keys", "_bounds", "_totals", "_words", "_counts"):
+            assert getattr(shuffled, name).tobytes() == getattr(m, name).tobytes()
 
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
