@@ -44,7 +44,6 @@ from .scorers import (
     DecodeState,
     NGramModel,
     Scorer,
-    UniformScorer,
     load_corpus,
     ngram_train,
     sequence_logprob,
@@ -88,7 +87,6 @@ __all__ = [
     "PhraseConstraint",
     "Scorer",
     "SearchParams",
-    "UniformScorer",
     "Vocabulary",
     "beam_search",
     "compile_disjunctions",

@@ -91,7 +91,7 @@ def _resolve_scorer(kind: str, model_path: str | None) -> tuple[scorers.Scorer, 
         raise ConfigError(f"--scorer {kind} requires --model")
     model = _load_model(model_path, kind)
     if kind == "uniform":
-        return scorers.UniformScorer(len(model.vocab), eos=model.vocab.eos), model.vocab
+        return scorers.NGramModel(1, 1.0, model.vocab), model.vocab
     return model, model.vocab
 
 

@@ -28,12 +28,6 @@ MAX_DISJUNCTIONS = 16
 MAX_PRODUCT_STATES = 4096
 
 
-def _check_token_ids(ids: Iterable[int], vocab_size: int) -> None:
-    for t in ids:
-        if not 0 <= t < vocab_size:
-            raise ConstraintError(f"token id {t} out of range for |V|={vocab_size}")
-
-
 @dataclass(frozen=True)
 class DisjunctiveConstraints:
     """Conjunction of disjunctive token sets: each set must contribute a word."""
@@ -201,7 +195,7 @@ class Fsm:
                 raise ConstraintError(f"default successor of state {s} out of range")
             for w, nxt in self.rows[s].items():
                 if not 0 <= w < self.vocab_size:
-                    raise ConstraintError(f"transition on invalid token id {w}")
+                    raise ConstraintError(f"token id {w} out of range for |V|={self.vocab_size}")
                 if not 0 <= nxt < self.num_states:
                     raise ConstraintError(f"transition to invalid state {nxt}")
 
@@ -284,7 +278,6 @@ def compile_disjunctions(c: DisjunctiveConstraints, vocab_size: int) -> Fsm:
         raise CapacityError(f"{m} disjunction sets would need 2^{m} beams (cap {MAX_DISJUNCTIONS})")
     bits: dict[int, int] = {}
     for i, d in enumerate(c.disjunctions):
-        _check_token_ids(d, vocab_size)
         for w in d:
             bits[w] = bits.get(w, 0) | (1 << i)
     num_states = 1 << m
@@ -311,7 +304,6 @@ def compile_phrase(p: PhraseConstraint, vocab_size: int) -> Fsm:
     acts as its restart state, the one p[1:k] leads to, so overlapping partial
     matches are kept. Row keys ascend: product state numbers can follow them.
     """
-    _check_token_ids(p.tokens, vocab_size)
     n = len(p)
     rows: list[dict[int, int]] = [{p.tokens[0]: 1}]
     x = 0

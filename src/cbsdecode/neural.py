@@ -247,14 +247,6 @@ class CaptionModel(Scorer):
     def cond_dim(self) -> int:
         return self.layer2.input_size - self.layer1.hidden_size
 
-    @property
-    def vocab_size(self) -> int:
-        return len(self.vocab)
-
-    @property
-    def eos(self) -> int:
-        return self.vocab.eos
-
     @classmethod
     def build(
         cls,

@@ -1,4 +1,4 @@
-"""Sequence-scorer contract and count-based reference scorers.
+"""Sequence-scorer contract and the count-based n-gram reference scorer.
 
 A scorer exposes a stepwise conditional next-token log distribution over a
 batch of decode states. A `DecodeState` is an immutable batch of B rows, the
@@ -33,8 +33,8 @@ NGRAM_VERSION = 1
 
 class DecodeState:
     """A batch of B decode states: `rows` holds the owner's own (B x .)
-    arrays, at least one, gathered together by `take`. The distributions
-    over each row's next token are `owner.log_probs(state)`."""
+    arrays, at least one, gathered together by `Scorer.advance`. The
+    distributions over each row's next token are `owner.log_probs(state)`."""
 
     __slots__ = ("owner", "rows")
 
@@ -44,11 +44,6 @@ class DecodeState:
 
     def __len__(self) -> int:
         return len(self.rows[0])
-
-    def take(self, parents: Sequence[int]) -> "DecodeState":
-        """The batch of rows parents[0], parents[1], ..."""
-        idx = np.asarray(parents, dtype=np.intp)
-        return DecodeState(self.owner, tuple(r[idx] for r in self.rows))
 
 
 def _top_ids(rows: np.ndarray, k: int) -> np.ndarray:
@@ -77,14 +72,16 @@ def _top_ids(rows: np.ndarray, k: int) -> np.ndarray:
 class Scorer(ABC):
     """Contract for any stepwise conditional sequence model."""
 
-    @property
-    @abstractmethod
-    def vocab_size(self) -> int: ...
+    vocab: Vocabulary  # a scorer without one overrides `vocab_size` and `eos`
 
     @property
-    @abstractmethod
+    def vocab_size(self) -> int:
+        return len(self.vocab)
+
+    @property
     def eos(self) -> int:
         """Token id of the end-of-sequence marker."""
+        return self.vocab.eos
 
     @abstractmethod
     def initial_state(self, conditioning: np.ndarray | None = None) -> DecodeState:
@@ -118,7 +115,7 @@ class Scorer(ABC):
         if tokens.size and tokens.view(np.uintp).max() >= v:
             bad = tokens[(tokens < 0) | (tokens >= v)]
             raise ContractError(f"token id {bad[0]} out of range for |V|={v}")
-        gathered = state.take(parents)
+        gathered = DecodeState(self, tuple(r[parents] for r in state.rows))
         return self._advance(gathered, tokens) if tokens.size else gathered
 
     def top_k(
@@ -155,42 +152,12 @@ def sequence_logprob(
     return total
 
 
-class UniformScorer(Scorer):
-    """Every conditional probability is 1/|V|. Trivial test scorer; its rows
-    are the last tokens, START before the first."""
-
-    def __init__(self, vocab_size: int, eos: int | None = None):
-        if vocab_size < 1:
-            raise DataError("vocabulary must be non-empty")
-        self._vocab_size = vocab_size
-        self._eos = vocab_size - 1 if eos is None else eos
-        if not 0 <= self._eos < vocab_size:
-            raise DataError(f"eos id {eos} out of range")
-        self._log_probs = np.full(vocab_size, -np.log(vocab_size))
-
-    @property
-    def vocab_size(self) -> int:
-        return self._vocab_size
-
-    @property
-    def eos(self) -> int:
-        return self._eos
-
-    def initial_state(self, conditioning=None) -> DecodeState:
-        return DecodeState(self, (np.full(1, START),))
-
-    def _advance(self, state: DecodeState, tokens) -> DecodeState:
-        return DecodeState(self, (tokens,))
-
-    def log_probs(self, state: DecodeState) -> np.ndarray:
-        return np.broadcast_to(self._log_probs, (len(state), self._vocab_size))
-
-
 class NGramModel(Scorer):
     """Order-k count model with additive (add-alpha) smoothing.
 
     Conditionals are strictly positive for alpha > 0, so the model doubles as
-    the probability source for brute-force enumeration oracles. Its counts
+    the probability source for brute-force enumeration oracles. At order 1
+    with no counts every row is -ln|V|: the uniform scorer. Its counts
     are immutable after training; its decode caches grow as it decodes, so
     one model serves one thread at a time.
     """
@@ -198,6 +165,8 @@ class NGramModel(Scorer):
     def __init__(self, order: int, alpha: float, vocab: Vocabulary):
         if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
             raise DataError(f"n-gram order must be an integer >= 1, got {order!r}")
+        if isinstance(alpha, bool) or not isinstance(alpha, (int, float, np.integer, np.floating)):
+            raise DataError(f"smoothing constant must be a number, got {alpha!r}")
         if not 0 < alpha < float("inf"):
             raise DataError(f"smoothing constant must be finite and > 0, got {alpha}")
         self.order = order
@@ -216,16 +185,7 @@ class NGramModel(Scorer):
         self._tail = np.empty(0, dtype=np.int32)
         self._next = np.empty((0, len(vocab)), dtype=np.int32)
         self._top = np.empty((0, 0), dtype=np.intp)
-        self._top_lp = np.empty((0, 0))
         self._ranked = 0
-
-    @property
-    def vocab_size(self) -> int:
-        return len(self.vocab)
-
-    @property
-    def eos(self) -> int:
-        return self.vocab.eos
 
     def logprob(self, context: Sequence[int], w: int) -> float:
         """ln((count(ctx, w) + a) / (count(ctx) + a|V|)) over the last k-1
@@ -271,8 +231,8 @@ class NGramModel(Scorer):
     # decode state: rows = ((B,) context ids,). A context's id is its place in
     # `_contexts`, and row id of `_logp` is its distribution. The context after token w
     # depends on the context's tail, all but its first token: `_next[_tail[id], w]`
-    # is its id, -1 until first asked for. `_top` and `_top_lp` hold the K best
-    # ids and log-probs of the contexts below `_ranked`, K the widest k asked for
+    # is its id, -1 until first asked for. `_top` holds the K best ids of the
+    # contexts below `_ranked`, K the widest k asked for
 
     def _context_id(self, ctx: tuple[int, ...]) -> int:
         cid = self._context_ids.get(ctx)
@@ -282,8 +242,8 @@ class NGramModel(Scorer):
         self._contexts.append(ctx)
         if cid == len(self._logp):
             cap = max(8, 2 * cid)
-            self._logp, self._tail, self._top, self._top_lp = (
-                _grown(a, cap) for a in (self._logp, self._tail, self._top, self._top_lp)
+            self._logp, self._tail, self._top = (
+                _grown(a, cap) for a in (self._logp, self._tail, self._top)
             )
         words, counts, total = self._continuations(ctx)
         row = np.zeros(self.vocab_size)
@@ -319,17 +279,17 @@ class NGramModel(Scorer):
 
     def top_k(self, state: DecodeState, k: int, tokens: np.ndarray):
         """`Scorer.top_k` from the context cache: each context's row is ranked
-        once, at the widest k asked for so far, and a smaller k reads a prefix."""
+        once, at the widest k asked for so far, and a smaller k reads a prefix.
+        Scores are gathered at the ids, never as whole (B x |V|) rows."""
         (ctx,) = state.rows
         n = len(self._contexts)
         if k > self._top.shape[1]:
             self._top, self._ranked = np.empty((len(self._logp), k), dtype=np.intp), 0
-            self._top_lp = np.empty((len(self._logp), k))
         if self._ranked < n:
-            self._top[self._ranked : n] = ids = _top_ids(self._logp[self._ranked : n], self._top.shape[1])
-            self._top_lp[self._ranked : n] = np.take_along_axis(self._logp[self._ranked : n], ids, axis=1)
+            self._top[self._ranked : n] = _top_ids(self._logp[self._ranked : n], self._top.shape[1])
             self._ranked = n
-        return self._top[ctx, :k], self._top_lp[ctx, :k], self._logp[ctx[:, None], tokens]
+        ids = self._top[ctx, :k]
+        return ids, self._logp[ctx[:, None], ids], self._logp[ctx[:, None], tokens]
 
     # persistence: JSON dump of counts + alpha + vocabulary
 

@@ -43,13 +43,12 @@ class SearchParams:
 
 @dataclass
 class Hypothesis:
-    """A partial output sequence with its accumulated log probability and the
-    FSM state reached by folding the transition function over its tokens."""
+    """A completed output sequence, ending in end-of-sequence, with its log
+    probability and the FSM state its tokens lead to from the start."""
 
     tokens: tuple[int, ...]
     logprob: float
     fsm_state: int
-    completed: bool = False
 
     def sort_key(self):
         """Total order: logprob desc, then length asc, then lexicographic."""
@@ -261,7 +260,7 @@ def constrained_beam_search(
     # each state's completed hypotheses stand best first: its first is its best
     states, first = np.unique(done_state, return_index=True)
     per_state_best = {
-        s: Hypothesis(_path(tree, node) + (scorer.eos,), lp, s, completed=True)
+        s: Hypothesis(_path(tree, node) + (scorer.eos,), lp, s)
         for s, node, lp in zip(states.tolist(), done_node[first].tolist(), done_lp[first].tolist())
     }
     return _result_from_per_state(per_state_best, fsm)
@@ -346,7 +345,7 @@ def exhaustive_decode(
     best_per_state: dict[int, Hypothesis] = {}
 
     def consider(tokens: tuple[int, ...], logprob: float, state: int) -> None:
-        h = Hypothesis(tokens, logprob, state, completed=True)
+        h = Hypothesis(tokens, logprob, state)
         cur = best_per_state.get(state)
         if cur is None or h.sort_key() < cur.sort_key():
             best_per_state[state] = h

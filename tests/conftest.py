@@ -6,12 +6,18 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from cbsdecode import DecodeState, Vocabulary, ngram_train
+from cbsdecode import DecodeState, NGramModel, Vocabulary, ngram_train
 
 
 def make_vocab(size: int) -> Vocabulary:
     """size tokens total, the last one being the end-of-sequence marker."""
     return Vocabulary.from_tokens(f"w{i}" for i in range(size - 1))
+
+
+def uniform_scorer(size: int) -> NGramModel:
+    """The count-free order-1 model over `make_vocab(size)`: every row is
+    -ln(size), and eos is the last id. `--scorer uniform` builds it."""
+    return NGramModel(1, 1.0, make_vocab(size))
 
 
 def random_ngram(rng: np.random.Generator, vocab: Vocabulary, order: int = 2,

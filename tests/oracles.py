@@ -23,6 +23,7 @@ import numpy as np
 from cbsdecode.errors import DataError
 from cbsdecode.files import read_lines
 from cbsdecode.neural import _gate_cell, log_softmax
+from cbsdecode.scorers import DecodeState
 
 
 def satisfies_disjunctions(seq, sets) -> bool:
@@ -121,6 +122,12 @@ def greedy_decode(scorer, max_len, no_repeat=True, conditioning=None):
             break
         state, _ = scorer.step(state, w)
     return tuple(tokens), total
+
+
+def take(state, rows):
+    """The batch of rows rows[0], rows[1], ... of the decode state `state`."""
+    idx = np.asarray(rows, dtype=np.intp)
+    return DecodeState(state.owner, tuple(r[idx] for r in state.rows))
 
 
 # The constrained search loop as it stood before the array beam update, kept

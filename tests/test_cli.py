@@ -401,6 +401,34 @@ class TestTrainAndExpand:
         assert not (tmp_path / "x.npz").exists()
 
 
+# `--scorer uniform` output on the workdir model and constraints, byte for
+# byte: each row of the count-free order-1 model is exactly -ln|V|, so every
+# logprob keeps its last digit
+UNIFORM_PINS = {
+    "decode": (["--beam", "40", "--max-len", "4", "--emit-per-state"], (
+        b'{"id": 0, "status": "accepted", "tokens": [3, 4, 10], "logprob": -7.193685818395112,'
+        b' "text": "bus chair", "fsm_state": 3, "satisfied_count": 2,'
+        b' "per_state_best": {"0": {"tokens": [10], "logprob": -2.3978952727983707, "text": ""},'
+        b' "1": {"tokens": [4, 10], "logprob": -4.795790545596741, "text": "chair"},'
+        b' "2": {"tokens": [3, 10], "logprob": -4.795790545596741, "text": "bus"},'
+        b' "3": {"tokens": [3, 4, 10], "logprob": -7.193685818395112, "text": "bus chair"}}}\n'
+    )),
+    "oracle": (["--max-len", "4"], (
+        b'{"id": 0, "status": "accepted", "tokens": [3, 4, 10], "logprob": -7.193685818395112,'
+        b' "text": "bus chair", "fsm_state": 3, "satisfied_count": 2}\n'
+    )),
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNIFORM_PINS))
+def test_uniform_scorer_output_is_pinned(workdir, tmp_path, command):
+    extra, want = UNIFORM_PINS[command]
+    out = tmp_path / "out.jsonl"
+    assert main([command, "--scorer", "uniform", "--model", str(workdir / "model.json"),
+                 "--constraints", str(workdir / "constraints.json"), *extra, "--out", str(out)]) == 0
+    assert out.read_bytes() == want
+
+
 @pytest.mark.parametrize("scorer", ["ngram", "uniform"])
 @pytest.mark.parametrize("command", ["decode", "oracle"])
 def test_ignored_features_warn_once_per_run(workdir, tmp_path, caplog, capsys, command, scorer):
@@ -550,6 +578,9 @@ NGRAM_DUMP_DEFECTS = [
     ("repeated token in a context", _ngram_with(["contexts", 9], [[8], 2, [[10, 1], [10, 1]]]),
      "n-gram context [8] lists token 10 twice"),
     ("order true", _ngram_with(["order"], True), "n-gram order must be an integer >= 1, got True"),
+    ("alpha true", _ngram_with(["alpha"], True), "smoothing constant must be a number, got True"),
+    ("alpha a string", _ngram_with(["alpha"], "0.5"), "smoothing constant must be a number, got '0.5'"),
+    ("alpha null", _ngram_with(["alpha"], None), "smoothing constant must be a number, got None"),
     ("count a string", _ngram_with(["contexts", 1, 2, 0, 1], "2"), "n-gram count '2' is not an integer"),
     ("count negative", _ngram_with(["contexts", 1, 2, 0, 1], -2), "n-gram count -2 is not >= 1"),
     ("total negative", _ngram_with(["contexts", 1, 1], -8),

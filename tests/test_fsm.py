@@ -1,6 +1,7 @@
 import functools
 import json
 import logging
+import re
 from collections import Counter
 
 import pytest
@@ -64,10 +65,16 @@ class TestCompileDisjunctions:
         for seq in all_sequences(range(len(v)), 4):
             assert f.recognizes(seq) == satisfies_disjunctions(seq, sets)
 
-    def test_invalid_token_id(self):
-        v = make_vocab(4)
-        with pytest.raises(ConstraintError):
-            compile_disjunctions(DisjunctiveConstraints.from_sets([{99}]), len(v))
+    @pytest.mark.parametrize("build", [
+        lambda n: compile_disjunctions(DisjunctiveConstraints.from_sets([{1}, {2, 99}]), n),
+        lambda n: compile_phrase(PhraseConstraint((0, 99)), n),
+        lambda n: Fsm(2, 0, {1}, n, defaults=[0, 1], rows=[{0: 1, 99: 1}, {}]),
+    ], ids=["disjunctions", "phrase", "hand-built"])
+    def test_invalid_token_id(self, build):
+        """Every way to build a machine reports an out-of-range constraint
+        token in one message, from the machine's own check."""
+        with pytest.raises(ConstraintError, match=re.escape("token id 99 out of range for |V|=4")):
+            build(len(make_vocab(4)))
 
     def test_capacity_cap(self):
         v = make_vocab(20)

@@ -36,7 +36,7 @@ from cbsdecode.neural import (
 )
 from cbsdecode.search import _run_search
 from conftest import make_vocab, stack_states
-from oracles import _ref_blocked, reference_step_rows, reference_tied_logits, reference_train
+from oracles import _ref_blocked, reference_step_rows, reference_tied_logits, reference_train, take
 from test_scorers import scorer_contract_checks
 
 
@@ -750,7 +750,7 @@ def check_rows_alone(m, b, rng):
         tokens = rng.integers(0, m.vocab_size, size=b).tolist()
         batch = m.advance(states, range(b), tokens)
         for i, w in enumerate(tokens):
-            assert_same_bits(batch.take([i]), m.step(states.take([i]), w)[0])
+            assert_same_bits(take(batch, [i]), m.step(take(states, [i]), w)[0])
         states = batch
 
 
@@ -839,7 +839,7 @@ class TestBatchedStep:
         cond = rng.normal(size=2)
         old, new = m.initial_state(cond), big.initial_state(cond)
         for _ in range(3):
-            for s_old, s_new in ((old.take([i]), new.take([i])) for i in range(len(old))):
+            for s_old, s_new in ((take(old, [i]), take(new, [i])) for i in range(len(old))):
                 assert big.output_logits(s_new)[0, :size].tobytes() == m.output_logits(s_old)[0].tobytes()
                 assert_same_bits(s_new, s_old, ("h1", "c1", "h2", "c2"))
             tokens = rng.integers(0, size - 1, size=len(old) + ROWS // 2 + 1).tolist()

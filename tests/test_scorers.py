@@ -18,14 +18,13 @@ from cbsdecode import (
     DecodeState,
     NGramModel,
     Scorer,
-    UniformScorer,
     Vocabulary,
     load_corpus,
     ngram_train,
     sequence_logprob,
 )
-from conftest import make_vocab, random_ngram, stack_states
-from oracles import ngram_sequence_logprob, reference_ngram_counts
+from conftest import make_vocab, random_ngram, stack_states, uniform_scorer
+from oracles import ngram_sequence_logprob, reference_ngram_counts, take
 
 
 def scorer_contract_checks(scorer, conditioning=None, tol=1e-6, steps=5, rng=None):
@@ -37,7 +36,7 @@ def scorer_contract_checks(scorer, conditioning=None, tol=1e-6, steps=5, rng=Non
         assert abs(probs.sum() - 1.0) < tol
         w = int(rng.integers(0, scorer.vocab_size))
         again_state, again_dist = scorer.step(state, w)
-        clone = state.take([0])
+        clone = take(state, [0])
         clone_next, clone_dist = scorer.step(clone, w)
         np.testing.assert_array_equal(again_dist, clone_dist)
         repeat_state, repeat_dist = scorer.step(state, w)
@@ -46,20 +45,19 @@ def scorer_contract_checks(scorer, conditioning=None, tol=1e-6, steps=5, rng=Non
 
 
 class TestUniformScorer:
-    def test_every_entry_is_log_inverse_size(self):
-        s = UniformScorer(4)
+    """`--scorer uniform`: the order-1 n-gram model with no counts."""
+
+    @pytest.mark.parametrize("size", [2, 4, 7, 3000])
+    def test_rows_are_minus_log_size_byte_for_byte(self, size):
+        s = uniform_scorer(size)
+        want = np.full((1, size), -np.log(size)).tobytes()
         state = s.initial_state()
-        np.testing.assert_allclose(s.log_probs(state)[0], math.log(0.25), rtol=0, atol=1e-12)
-        assert s.log_probs(state).shape == (1, 4)
+        for w in (0, size - 1, 1):
+            assert s.log_probs(state).tobytes() == want
+            state = s.advance(state, [0], [w])
 
     def test_contract(self):
-        scorer_contract_checks(UniformScorer(7), tol=1e-12)
-
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(DataError):
-            UniformScorer(0)
-        with pytest.raises(DataError):
-            UniformScorer(4, eos=9)
+        scorer_contract_checks(uniform_scorer(7), tol=1e-12)
 
 
 def dump_form(reference_counts) -> list:
@@ -249,7 +247,7 @@ def batch_scorer(kind, rng):
     if kind == "ngram":
         return random_ngram(rng, v, order=3)
     if kind == "uniform":
-        return UniformScorer(len(v))
+        return uniform_scorer(len(v))
     return CaptionModel.build(v, rng.normal(size=(5, len(v))), 4, 2, rng=rng, init_scale=0.5)
 
 
@@ -272,7 +270,7 @@ class TestAdvance:
         parents = [2, 0, 1]
         tokens = [0, 1, 2]
         if defect == "foreign state":
-            state = UniformScorer(scorer.vocab_size).initial_state()
+            state = uniform_scorer(scorer.vocab_size).initial_state()
             parents = [0, 0, 0]
         elif defect == "length":
             tokens.pop()
@@ -340,7 +338,7 @@ def test_advance_row_equals_stepping_its_parent_alone(kind, seed, data):
     if kind.startswith("ngram"):
         scorer = random_ngram(rng, v, order=int(kind[-1]))
     elif kind == "uniform":
-        scorer = UniformScorer(len(v))
+        scorer = uniform_scorer(len(v))
     else:
         scorer = CaptionModel.build(v, rng.normal(size=(5, len(v))), 4, 2, rng=rng, init_scale=0.5)
     state = scorer.initial_state(rng.normal(size=2) if kind == "neural" else None)
@@ -351,7 +349,7 @@ def test_advance_row_equals_stepping_its_parent_alone(kind, seed, data):
         nxt = scorer.advance(state, parents, tokens)
         assert len(nxt) == len(parents)
         for i, (p, w) in enumerate(zip(parents, tokens)):
-            assert_rows_bit_equal(nxt.take([i]), scorer.step(state.take([p]), w)[0])
+            assert_rows_bit_equal(take(nxt, [i]), scorer.step(take(state, [p]), w)[0])
         state = nxt
 
 
@@ -407,7 +405,7 @@ def test_top_k_equals_a_per_row_computation(kind, size, seed):
     if kind.startswith("ngram"):
         scorer = random_ngram(rng, v, order=int(kind[-1]), sentences=int(rng.integers(1, 6)))
     elif kind == "uniform":
-        scorer = UniformScorer(size)
+        scorer = uniform_scorer(size)
     elif kind == "neural":
         scorer = CaptionModel.build(v, rng.normal(size=(5, size)), 4, 2, rng=rng, init_scale=0.5)
     else:

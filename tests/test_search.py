@@ -29,8 +29,9 @@ from cbsdecode import (
 from cbsdecode.neural import CaptionModel
 from cbsdecode.scorers import DecodeState, Scorer
 from cbsdecode.search import Hypothesis, _path, _run_search, decode_best, phrase_machines
-from conftest import make_vocab, random_ngram
+from conftest import make_vocab, random_ngram, uniform_scorer
 from oracles import (
+    RefHypothesis,
     filtered_argmax,
     greedy_decode,
     ngram_sequence_logprob,
@@ -42,20 +43,21 @@ NEG_INF = float("-inf")
 
 
 def final_beams(scorer, fsm, params):
-    """`_run_search`'s final hypotheses as beams, one per FSM state: its live
-    hypotheses best-first, then its completed ones in the order the search
-    keeps them; and the steps taken. Tokens are read back from the search
-    tree, where the live hypotheses stand in lexicographic order."""
+    """`_run_search`'s final hypotheses as beams of `oracles.RefHypothesis`
+    records, one per FSM state: its live hypotheses best-first, then its
+    completed ones in the order the search keeps them; and the steps taken.
+    Tokens are read back from the search tree, where the live hypotheses
+    stand in lexicographic order."""
     tree, live, done, steps = _run_search(scorer, fsm, params)
     (state, logprob, node), (done_state, done_lp, done_node) = live, done
     paths = [_path(tree, n) for n in node.tolist()]
     assert paths == sorted(paths)
     beams = [[] for _ in range(fsm.num_states)]
     for s, lp, toks in zip(state.tolist(), logprob.tolist(), paths):
-        beams[s].append(Hypothesis(toks, lp, s))
+        beams[s].append(RefHypothesis(toks, lp, s))
     beams = [sorted(beam, key=Hypothesis.sort_key) for beam in beams]
     for n, s, lp in zip(done_node.tolist(), done_state.tolist(), done_lp.tolist()):
-        beams[s].append(Hypothesis(_path(tree, n) + (scorer.eos,), lp, s, completed=True))
+        beams[s].append(RefHypothesis(_path(tree, n) + (scorer.eos,), lp, s, completed=True))
     return beams, steps
 
 
@@ -227,7 +229,7 @@ class TestBeamSearch:
         best = beam_search(scorer, SearchParams(beam_size=5, max_len=10))
         assert best.tokens == chain
         assert best.logprob == 0.0
-        assert best.completed
+        assert best.tokens[-1] == v.eos
 
     def test_matches_exhaustive_enumeration(self, rng):
         v = make_vocab(5)
@@ -372,9 +374,7 @@ class TestConstrainedBeamSearch:
             constrained_beam_search(m, trivial_fsm(7), SearchParams())
 
     def test_deterministic_tie_breaking_under_uniform_scorer(self):
-        from cbsdecode import UniformScorer
-
-        scorer = UniformScorer(6, eos=5)
+        scorer = uniform_scorer(6)
         fsm = compile_disjunctions(
             DisjunctiveConstraints.from_sets([{2, 3}]), 6
         )
@@ -660,7 +660,10 @@ class TestExceptionGroups:
 
 
 def _beam_records(beams):
-    return [[(h.tokens, h.logprob.hex(), h.fsm_state, h.completed) for h in beam] for beam in beams]
+    """Each hypothesis as (tokens, logprob bits, state, completed): a reference
+    record says whether it completed, and a library `Hypothesis` always has."""
+    return [[(h.tokens, h.logprob.hex(), h.fsm_state, not isinstance(h, RefHypothesis) or h.completed)
+             for h in beam] for beam in beams]
 
 
 def _quantized_scorer(rng, size, eos):
