@@ -260,14 +260,13 @@ def decode(
     items = _read_inputs(inputs, scorer)
     if phrase_mode == "any" and spec.phrases:
         # one run per phrase, each within the spec's disjunctions
-        base = None
-        if spec.disjunctions.disjunctions:
-            base = fsm_mod.compile_disjunctions(spec.disjunctions, len(vocab))
+        base = fsm_mod.compile_spec(fsm_mod.ConstraintSpec(spec.disjunctions), vocab)
         machines = phrase_machines(spec.phrases, len(vocab), base)
     else:
         machines = [fsm_mod.compile_spec(spec, vocab)]
     setup = (scorer, vocab, machines, params, emit_per_state)
-    if workers == 1 or len(items) == 1:
+    workers = min(workers, len(items))
+    if workers == 1:
         _decode_one_setup(*setup)
         lines = [_decode_one(item) for item in items]
     else:

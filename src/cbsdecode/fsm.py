@@ -237,15 +237,9 @@ class Fsm:
         for s in range(self.num_states):
             row = self.rows[s]
             default = self.defaults[s]
-            if default != s:
-                for w in range(self.vocab_size):
-                    nxt = row.get(w, default)
-                    if nxt != s:
-                        transitions.append([s, w, nxt])
-            else:
-                for w in sorted(row):
-                    if row[w] != s:
-                        transitions.append([s, w, row[w]])
+            for w in range(self.vocab_size) if default != s else sorted(row):
+                if (nxt := row.get(w, default)) != s:
+                    transitions.append([s, w, nxt])
         return {
             "num_states": self.num_states,
             "start": self.start,
@@ -321,7 +315,7 @@ def compile_phrase(p: PhraseConstraint, vocab_size: int) -> Fsm:
     )
 
 
-def intersect(a: Fsm, b: Fsm, max_states: int = MAX_PRODUCT_STATES) -> Fsm:
+def intersect(a: Fsm, b: Fsm) -> Fsm:
     """Product machine accepting exactly the intersection of both languages.
 
     Only pairs reachable from (a.start, b.start) are kept; states are
@@ -347,9 +341,9 @@ def intersect(a: Fsm, b: Fsm, max_states: int = MAX_PRODUCT_STATES) -> Fsm:
         successors = [(da, db)] + [(ra.get(w, da), rb.get(w, db)) for w in tokens]
         for nxt in successors:
             if nxt not in ids:
-                if len(ids) >= max_states:
+                if len(ids) >= MAX_PRODUCT_STATES:
                     raise CapacityError(
-                        f"product FSM exceeds {max_states} states "
+                        f"product FSM exceeds {MAX_PRODUCT_STATES} states "
                         f"({a.num_states} x {b.num_states} components)"
                     )
                 ids[nxt] = len(ids)

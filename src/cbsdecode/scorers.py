@@ -50,9 +50,7 @@ def _top_ids(rows: np.ndarray, k: int) -> np.ndarray:
     """(B x k) ids of the k best entries of each row of the (B x n) `rows`,
     exactly ordered by (score desc, token asc); 1 <= k <= n."""
     b, n = rows.shape
-    c = 4 * k
-    if c >= n:
-        return np.argsort(-rows, axis=1, kind="stable")[:, :k]
+    c = min(4 * k, n)
     # k of c strided slices of a row hold an entry at least `least`, so its
     # best k are the entries above it plus, when those are too few, the lowest
     # ids equal to it (an n-gram row is mostly one floor value)

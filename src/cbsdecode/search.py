@@ -91,6 +91,15 @@ class DecodeResult:
         return out
 
 
+def _check_vocab(scorer: Scorer, fsm: Fsm) -> None:
+    if scorer.vocab_size < 1:
+        raise ContractError("scorer has an empty vocabulary")
+    if scorer.vocab_size != fsm.vocab_size:
+        raise ContractError(
+            f"FSM vocabulary size {fsm.vocab_size} does not match scorer {scorer.vocab_size}"
+        )
+
+
 def _run_search(
     scorer: Scorer,
     fsm: Fsm,
@@ -118,12 +127,7 @@ def _run_search(
     Live hypotheses at a step all have its length and distinct token
     tuples, so among candidates the lexicographic order is (parent row,
     token), and completed hypotheses are shorter than every candidate."""
-    if scorer.vocab_size < 1:
-        raise ContractError("scorer has an empty vocabulary")
-    if scorer.vocab_size != fsm.vocab_size:
-        raise ContractError(
-            f"FSM vocabulary size {fsm.vocab_size} does not match scorer {scorer.vocab_size}"
-        )
+    _check_vocab(scorer, fsm)
     eos, b, v = scorer.eos, params.beam_size, scorer.vocab_size
     table = fsm.route_table()
     nx = table.tokens.shape[0]
@@ -287,12 +291,12 @@ def beam_search(
 def phrase_machines(
     phrases: Sequence[PhraseConstraint], vocab_size: int, base_fsm: Fsm | None = None
 ) -> list[Fsm]:
-    """One machine per phrase, each intersected with `base_fsm` when given
-    (used to combine disjunctive constraints with the per-phrase protocol)."""
+    """One machine per phrase, each intersected with `base_fsm`, which by
+    default accepts everything; the CLI passes the spec's disjunctions."""
     if not phrases:
         raise ConstraintError("per-phrase decoding needs at least one phrase")
-    machines = [compile_phrase(p, vocab_size) for p in phrases]
-    return machines if base_fsm is None else [intersect(base_fsm, m) for m in machines]
+    base = base_fsm or trivial_fsm(vocab_size)
+    return [intersect(base, compile_phrase(p, vocab_size)) for p in phrases]
 
 
 def decode_best(
@@ -304,6 +308,8 @@ def decode_best(
     """Run one constrained decode per machine and keep the accepted result
     with the highest log probability; fall back to the best fallback when no
     run accepts. One machine gives its own decode."""
+    if not machines:
+        raise ConstraintError("decode_best needs at least one machine")
     results = [constrained_beam_search(scorer, m, params, conditioning) for m in machines]
     for status in (ACCEPTED, FALLBACK):
         pool = [r for r in results if r.status == status]
@@ -327,10 +333,7 @@ def exhaustive_decode(
     beam decoder. Cost grows as |V|^max_len; refuses instances whose
     enumeration budget exceeds `limit`.
     """
-    if scorer.vocab_size != fsm.vocab_size:
-        raise ContractError(
-            f"FSM vocabulary size {fsm.vocab_size} does not match scorer {scorer.vocab_size}"
-        )
+    _check_vocab(scorer, fsm)
     v = scorer.vocab_size
     nodes, layer = 0, 1
     for _ in range(params.max_len):

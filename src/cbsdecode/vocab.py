@@ -67,10 +67,8 @@ class Vocabulary:
         return [self.word(i) for i in ids]
 
     def extended(self, *words: str) -> "Vocabulary":
-        """New vocabulary with `words` appended at ids len(self), len(self)+1, ..."""
-        for word in words:
-            if word in self._index:
-                raise DataError(f"token already in vocabulary: {word!r}")
+        """New vocabulary with `words` appended at ids len(self), len(self)+1, ...;
+        a word already present is a duplicate, which the constructor rejects."""
         return Vocabulary(self.tokens + words, eos_token=self.tokens[self.eos])
 
     def __contains__(self, word: str) -> bool:

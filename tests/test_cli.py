@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import logging
@@ -154,6 +155,37 @@ class TestDecode:
         assert serial == parallel
         ids = [json.loads(l)["id"] for l in serial.decode().splitlines()]
         assert ids == list(range(6))
+
+    def test_workers_past_the_inputs_ask_for_one_process_each(self, workdir, monkeypatch):
+        from cbsdecode import cli
+
+        asked = []
+
+        class InProcessPool:
+            """Records the processes asked for and maps in this process."""
+
+            def __init__(self, processes, initializer, initargs):
+                asked.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", InProcessPool)
+        inputs = workdir / "three.jsonl"
+        inputs.write_text("".join(json.dumps({"id": i}) + "\n" for i in range(3)))
+        args = ("--inputs", str(inputs), "--constraints", str(workdir / "constraints.json"))
+        serial = self.run_decode(workdir, "w1.jsonl", *args, "--workers", "1")
+        assert asked == []
+        wide = self.run_decode(workdir, "w64.jsonl", *args, "--workers", "64")
+        assert asked == [3]
+        assert wide == serial
 
     @pytest.mark.parametrize("command", ["decode", "oracle"])
     def test_machine_compiled_once_per_run(self, workdir, monkeypatch, command):
@@ -400,6 +432,30 @@ class TestTrainAndExpand:
         assert payload["message"] == "1 vocabulary words have no embedding: ['sat']"
         assert not (tmp_path / "x.npz").exists()
 
+    @pytest.mark.parametrize("manifest_words", [["cat"], ["zebra", "zebra"]],
+                             ids=["already-in-model", "repeated-in-manifest"])
+    def test_expand_of_a_present_word_is_data_error_naming_it(
+        self, tmp_path, rng, capsys, manifest_words
+    ):
+        words = ["the", "cat", "sat"]
+        emb = tmp_path / "emb.txt"
+        self.write_embeddings(emb, words + ["zebra"], dim=4, rng=rng)
+        v = Vocabulary.from_tokens(words)
+        ckpt = tmp_path / "lm.npz"
+        save_checkpoint(CaptionModel.build(v, rng.normal(size=(4, len(v))), 3, 2, rng=rng), ckpt)
+        manifest = tmp_path / "exp.json"
+        manifest.write_text(json.dumps(
+            [{"word": w, "source": "embedding-file"} for w in manifest_words]
+        ))
+        assert main(
+            ["expand", "--model", str(ckpt), "--embeddings", str(emb),
+             "--manifest", str(manifest), "--out", str(tmp_path / "x.npz")]
+        ) == 66
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert payload["category"] == "data"
+        assert repr(manifest_words[-1]) in payload["message"]
+        assert not (tmp_path / "x.npz").exists()
+
 
 # `--scorer uniform` output on the workdir model and constraints, byte for
 # byte: each row of the count-free order-1 model is exactly -ln|V|, so every
@@ -427,6 +483,68 @@ def test_uniform_scorer_output_is_pinned(workdir, tmp_path, command):
     assert main([command, "--scorer", "uniform", "--model", str(workdir / "model.json"),
                  "--constraints", str(workdir / "constraints.json"), *extra, "--out", str(out)]) == 0
     assert out.read_bytes() == want
+
+
+SPECS = {
+    "phrases": {"disjunctions": [], "phrases": [["a", "man"], ["the", "table"]]},
+    "disjunctions": {"disjunctions": [["chair", "table"], ["bus", "street"]], "phrases": []},
+    "both": {"disjunctions": [["chair", "street"]], "phrases": [["a", "man"], ["the", "bus"]]},
+}
+
+# first 16 hex digits of the sha256 of each `compile` dump on the workdir model
+COMPILE_DIGESTS = {
+    "phrases": "811be0c1af803aab",
+    "disjunctions": "a7d4db6b88973867",
+    "both": "36275647629c9461",
+}
+
+
+@pytest.fixture(scope="module")
+def spec_files(workdir):
+    paths = {}
+    for name, spec in SPECS.items():
+        paths[name] = workdir / f"spec-{name}.json"
+        paths[name].write_text(json.dumps(spec))
+    return paths
+
+
+@pytest.mark.parametrize("name", sorted(COMPILE_DIGESTS))
+def test_compile_dump_is_pinned(workdir, spec_files, tmp_path, name):
+    out = tmp_path / "dump.json"
+    assert main(["compile", "--constraints", str(spec_files[name]),
+                 "--model", str(workdir / "model.json"), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == COMPILE_DIGESTS[name]
+
+
+# `decode --phrase-mode any --emit-per-state --max-len 6` on the workdir
+# model, byte for byte: one run per phrase, within the disjunctions if any
+PHRASE_ANY_PINS = {
+    "phrases": (
+        b'{"id": 0, "status": "accepted", "tokens": [7, 5, 10], "logprob": -4.595658425615496,'
+        b' "text": "the table", "fsm_state": 2, "satisfied_count": 1,'
+        b' "per_state_best": {"0": {"tokens": [0, 4, 10], "logprob": -3.5119717871640614,'
+        b' "text": "a chair"}, "2": {"tokens": [7, 5, 10], "logprob": -4.595658425615496,'
+        b' "text": "the table"}}}\n'
+    ),
+    "both": (
+        b'{"id": 0, "status": "accepted", "tokens": [0, 1, 4, 10], "logprob": -6.68165736784149,'
+        b' "text": "a man chair", "fsm_state": 4, "satisfied_count": 2,'
+        b' "per_state_best": {"0": {"tokens": [0, 5, 10], "logprob": -3.8484440237852744,'
+        b' "text": "a table"}, "1": {"tokens": [0, 4, 10], "logprob": -3.5119717871640614,'
+        b' "text": "a chair"}, "3": {"tokens": [0, 1, 2, 0, 5, 10], "logprob": -7.982393840599735,'
+        b' "text": "a man on a table"}, "4": {"tokens": [0, 1, 4, 10], "logprob": -6.68165736784149,'
+        b' "text": "a man chair"}}}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PHRASE_ANY_PINS))
+def test_phrase_mode_any_output_is_pinned(workdir, spec_files, tmp_path, name):
+    out = tmp_path / "out.jsonl"
+    assert main(["decode", "--model", str(workdir / "model.json"),
+                 "--constraints", str(spec_files[name]), "--phrase-mode", "any",
+                 "--emit-per-state", "--max-len", "6", "--out", str(out)]) == 0
+    assert out.read_bytes() == PHRASE_ANY_PINS[name]
 
 
 @pytest.mark.parametrize("scorer", ["ngram", "uniform"])

@@ -293,15 +293,27 @@ class TestIntersect:
             intersect(trivial_fsm(3), trivial_fsm(4))
 
     def test_capacity_cap(self):
-        v = make_vocab(12)
+        # disjoint token sets: all 2^8 x 2^8 = 65,536 pairs are reachable
+        v = make_vocab(17)
         fa = compile_disjunctions(
             DisjunctiveConstraints.from_sets([{i} for i in range(8)]), len(v)
         )
         fb = compile_disjunctions(
-            DisjunctiveConstraints.from_sets([{i} for i in range(8)]), len(v)
+            DisjunctiveConstraints.from_sets([{i} for i in range(8, 16)]), len(v)
         )
-        with pytest.raises(CapacityError):
-            intersect(fa, fb, max_states=100)
+        with pytest.raises(CapacityError, match="exceeds 4096 states"):
+            intersect(fa, fb)
+
+    @pytest.mark.parametrize("tokens", [(3,), (0, 1), (0, 0, 1), (1, 2, 1, 2, 3), (2, 2, 2)])
+    def test_trivial_base_keeps_the_phrase_machine(self, tokens):
+        """`phrase_machines` intersects every phrase with a base, by default
+        the machine that accepts everything; the product is the phrase
+        machine itself, state numbers included."""
+        phrase = compile_phrase(PhraseConstraint(tokens), 5)
+        product = intersect(trivial_fsm(5), phrase)
+        assert product.num_states == phrase.num_states and product.accepting == phrase.accepting
+        assert product.defaults == phrase.defaults and product.progress == phrase.progress
+        assert product.rows == phrase.rows
 
     def test_progress_sums_components(self):
         v = make_vocab(5)

@@ -23,6 +23,7 @@ from cbsdecode import (
     ngram_train,
     sequence_logprob,
 )
+from cbsdecode.scorers import _top_ids
 from conftest import make_vocab, random_ngram, stack_states, uniform_scorer
 from oracles import ngram_sequence_logprob, reference_ngram_counts, take
 
@@ -422,6 +423,20 @@ def test_top_k_equals_a_per_row_computation(kind, size, seed):
                 want = reference_top_k(row, k, tokens.tolist())
                 assert ids[i].tolist() == want[0]
                 assert scores[i].tolist() == want[1] and token_scores[i].tolist() == want[2]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+@pytest.mark.parametrize("width", ["k", "4k-1", "4k", "4k+1"])
+def test_top_ids_is_the_stable_sort_around_four_k(k, width, rng):
+    """`_top_ids` at the widths where its strided bound covers the whole row
+    or just misses it: rows of a few repeated values with -inf entries rank
+    exactly as a stable argsort of the negated rows does."""
+    n = {"k": k, "4k-1": 4 * k - 1, "4k": 4 * k, "4k+1": 4 * k + 1}[width]
+    rows = rng.choice([-1.5, -2.0, -2.0, -3.25, -np.inf], size=(6, n))
+    rows[0] = -np.inf
+    rows[1] = -2.0
+    want = np.argsort(-rows, axis=1, kind="stable")[:, :k]
+    assert _top_ids(rows, k).tolist() == want.tolist()
 
 
 class TestPersistence:

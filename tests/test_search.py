@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cbsdecode import (
     ConfigError,
+    ConstraintError,
     ContractError,
     DecodeError,
     DisjunctiveConstraints,
@@ -169,6 +170,13 @@ class NoEosScorer(Scorer):
 
     def log_probs(self, state):
         return np.broadcast_to(self._row, (len(state), self._vocab_size))
+
+
+class EmptyVocabularyScorer(NoEosScorer):
+    """A scorer over no tokens at all."""
+
+    def __init__(self):
+        self._vocab_size, self._eos = 0, 0
 
 
 class LastTokenScorer(Scorer):
@@ -373,6 +381,11 @@ class TestConstrainedBeamSearch:
         with pytest.raises(ContractError):
             constrained_beam_search(m, trivial_fsm(7), SearchParams())
 
+    @pytest.mark.parametrize("decode", [constrained_beam_search, exhaustive_decode])
+    def test_empty_vocabulary_is_contract_error(self, decode):
+        with pytest.raises(ContractError, match="scorer has an empty vocabulary"):
+            decode(EmptyVocabularyScorer(), trivial_fsm(0), SearchParams())
+
     def test_deterministic_tie_breaking_under_uniform_scorer(self):
         scorer = uniform_scorer(6)
         fsm = compile_disjunctions(
@@ -461,10 +474,13 @@ class TestMultiPhrase:
     def test_needs_at_least_one_phrase(self, rng):
         v = make_vocab(4)
         m = random_ngram(rng, v)
-        from cbsdecode import ConstraintError
-
         with pytest.raises(ConstraintError):
             decode_best(m, phrase_machines([], len(v)), SearchParams())
+
+    def test_needs_at_least_one_machine(self, rng):
+        m = random_ngram(rng, make_vocab(4))
+        with pytest.raises(ConstraintError, match="decode_best needs at least one machine"):
+            decode_best(m, [], SearchParams())
 
     def test_base_fsm_combines_with_each_phrase(self):
         v, scorer, sets, fsm = chair_table_setup()
